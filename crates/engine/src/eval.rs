@@ -10,6 +10,16 @@
 //! and an expression computable from the outer frames, the evaluator probes
 //! the index instead of scanning — the same plan PostgreSQL picks for these
 //! queries, and essential for Q21 (three lineitem references) to finish.
+//! The probe is three shared steps — [`exists_probe_candidates`],
+//! [`choose_probe`], [`exists_search`] — which the physical operators also
+//! run, with pre-resolved programs instead of frames, for the correlated
+//! `EXISTS` conjuncts they can compile (`physical::compile`'s
+//! `ExistsProbe`). Frame evaluation here serves what stays uncompiled:
+//! other subqueries, and `EXISTS` under enclosing scopes or with names
+//! that do not pre-resolve.
+//!
+//! Below the framed evaluator sits [`CompiledExpr`]: expressions with
+//! every column pre-resolved to a row position, evaluated by reference.
 
 use apuama_sql::ast::{BinOp, ColumnRef, Expr, Select, TableRef, UnaryOp};
 use apuama_sql::value::HashableValue;
@@ -17,8 +27,11 @@ use apuama_sql::Value;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
+use apuama_storage::OrderedIndex;
+
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{self, Binding, ExecContext};
+use crate::table::Table;
 
 /// One scope level: the bindings describing a tuple's columns plus the
 /// tuple itself.
@@ -469,87 +482,121 @@ fn subquery_value_set(
 
 /// Evaluates `EXISTS (subquery)` for the current frame stack.
 ///
-/// Fast path: single-table subquery with an equality conjunct
-/// `inner_indexed_col = outer_expr` — probe the index, check the residual
-/// predicate per candidate. Slow path: sequential scan with the predicate.
+/// Only the subquery's FROM and WHERE matter: its select list, grouping
+/// and LIMIT do not change whether a qualifying row exists (the
+/// single-table path ignores them). Single-table subqueries run through
+/// [`exists_probe_candidates`], [`choose_probe`] and [`exists_search`] —
+/// the same three steps the compiled probe (`physical::compile`'s
+/// `ExistsProbe`) runs with pre-resolved programs — with the predicate
+/// checked per candidate against a frame stack.
 fn eval_exists(query: &Select, frames: &[Frame<'_>], ctx: &ExecContext<'_>) -> EngineResult<bool> {
-    // General shapes (joins, grouping) fall back to full execution.
-    let single_table = match query.from.as_slice() {
-        [TableRef::Table { name, alias }] => Some((name.clone(), alias.clone())),
-        _ => None,
-    };
-    let Some((table_name, alias)) = single_table else {
+    // General shapes (joins, derived tables) fall back to full execution.
+    let [TableRef::Table { name, alias }] = query.from.as_slice() else {
         let rel = exec::run_select(query, frames, ctx)?;
         return Ok(!rel.rows.is_empty());
     };
     let table = ctx
         .db
-        .table(&table_name)
-        .ok_or_else(|| EngineError::UnknownTable(table_name.clone()))?;
+        .table(name)
+        .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
     let bindings = exec::bindings_for_table(&table.schema, alias.as_deref());
-
-    // Split the predicate and look for an index-probe opportunity.
-    let conjuncts = split_conjuncts(query.selection.as_ref());
-    let mut probe: Option<(usize, Value)> = None;
-    for c in &conjuncts {
-        if let Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } = c
-        {
-            for (a, b) in [(left, right), (right, left)] {
-                let Expr::Column(col) = a.as_ref() else {
-                    continue;
-                };
-                let Ok(ci) = exec::resolve_column(&bindings, col) else {
-                    continue;
-                };
-                if table.index_on(ci).is_none() {
-                    continue;
-                }
-                // The other side must be computable from the *outer* frames
-                // (i.e. not mention the inner table).
-                if let Ok(v) = eval_expr(b, frames, ctx) {
-                    probe = Some((ci, v));
-                    break;
-                }
-            }
-        }
-        if probe.is_some() {
-            break;
-        }
-    }
-
-    let check_row = |row: &[Value], ctx: &ExecContext<'_>| -> EngineResult<bool> {
+    let candidates = exists_probe_candidates(query.selection.as_ref(), &bindings, table);
+    let probe = choose_probe(&candidates, |key| eval_expr(key, frames, ctx));
+    exists_search(table, probe, ctx, |row| {
+        let Some(pred) = &query.selection else {
+            return Ok(true);
+        };
         let mut stack: Vec<Frame<'_>> = Vec::with_capacity(frames.len() + 1);
         stack.push(Frame {
             bindings: &bindings,
             row,
         });
         stack.extend_from_slice(frames);
-        match &query.selection {
-            None => Ok(true),
-            Some(pred) => Ok(truthiness(&eval_expr(pred, &stack, ctx)?) == Some(true)),
-        }
-    };
+        Ok(truthiness(&eval_expr(pred, &stack, ctx)?) == Some(true))
+    })
+}
 
-    if let Some((ci, val)) = probe {
+/// The index-probe candidates of a single-table `EXISTS`, in conjunct
+/// order: for every top-level `a = b` conjunct, each side that is a
+/// column of the inner table carrying an index, paired with the opposite
+/// side — the probe key, which must be computable from the outer scopes.
+pub(crate) fn exists_probe_candidates<'q, 't>(
+    pred: Option<&'q Expr>,
+    bindings: &[Binding],
+    table: &'t Table,
+) -> Vec<(&'t OrderedIndex, &'q Expr)> {
+    fn go<'q, 't>(
+        e: &'q Expr,
+        bindings: &[Binding],
+        table: &'t Table,
+        out: &mut Vec<(&'t OrderedIndex, &'q Expr)>,
+    ) {
+        let Expr::Binary { left, op, right } = e else {
+            return;
+        };
+        match op {
+            BinOp::And => {
+                go(left, bindings, table, out);
+                go(right, bindings, table, out);
+            }
+            BinOp::Eq => {
+                for (a, b) in [(left, right), (right, left)] {
+                    let Expr::Column(col) = a.as_ref() else {
+                        continue;
+                    };
+                    let Ok(ci) = exec::resolve_column(bindings, col) else {
+                        continue;
+                    };
+                    if let Some(idx) = table.index_on(ci) {
+                        out.push((idx, b.as_ref()));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    if let Some(p) = pred {
+        go(p, bindings, table, &mut out);
+    }
+    out
+}
+
+/// Picks the probe for one outer row: the first candidate whose key
+/// evaluates without error. A key that fails — typically one mentioning
+/// the inner table, which the outer scopes cannot resolve — is skipped;
+/// when none evaluates, the search scans the heap instead.
+pub(crate) fn choose_probe<'t, K>(
+    candidates: &[(&'t OrderedIndex, K)],
+    mut eval_key: impl FnMut(&K) -> EngineResult<Value>,
+) -> Option<(&'t OrderedIndex, Value)> {
+    candidates
+        .iter()
+        .find_map(|(idx, key)| eval_key(key).ok().map(|v| (*idx, v)))
+}
+
+/// The `EXISTS` search loop: with a probe, one index probe and a random
+/// row fetch per visited posting; without, a sequential heap scan. Stops
+/// at the first row `matches` accepts.
+pub(crate) fn exists_search(
+    table: &Table,
+    probe: Option<(&OrderedIndex, Value)>,
+    ctx: &ExecContext<'_>,
+    mut matches: impl FnMut(&[Value]) -> EngineResult<bool>,
+) -> EngineResult<bool> {
+    if let Some((idx, key)) = probe {
         ctx.bump_index_probes(1);
-        let idx = table.index_on(ci).expect("probe chose an indexed column");
-        for &rid in idx.get(&val) {
+        for &rid in idx.get(&key) {
             let Some(row) = table.heap.get(rid) else {
                 continue;
             };
             ctx.charge_row_fetch(table, rid);
-            if check_row(row, ctx)? {
+            if matches(row)? {
                 return Ok(true);
             }
         }
         return Ok(false);
     }
-
-    // Sequential fallback.
     let mut last_page = u64::MAX;
     for (rid, row) in table.heap.iter() {
         let page = table.heap.geometry().page_of(rid);
@@ -562,7 +609,7 @@ fn eval_exists(query: &Select, frames: &[Frame<'_>], ctx: &ExecContext<'_>) -> E
             last_page = page;
         }
         ctx.bump_rows_scanned(1);
-        if check_row(row, ctx)? {
+        if matches(row)? {
             return Ok(true);
         }
     }
@@ -657,18 +704,30 @@ pub(crate) enum CompiledExpr {
 /// resolves in the innermost frame, which is exactly the frame-stack
 /// resolution order.
 pub(crate) fn compile_expr(e: &Expr, bindings: &[Binding]) -> Option<CompiledExpr> {
+    compile_expr_with(e, &|c| exec::resolve_column(bindings, c).ok())
+}
+
+/// [`compile_expr`] with a caller-supplied column resolver, so a program
+/// can span more than one scope (the correlated `EXISTS` probe resolves
+/// inner columns first, then the outer row's, in frame order).
+pub(crate) fn compile_expr_with(
+    e: &Expr,
+    resolve: &impl Fn(&ColumnRef) -> Option<usize>,
+) -> Option<CompiledExpr> {
+    let sub = |x: &Expr| compile_expr_with(x, resolve);
+    let boxed = |x: &Expr| sub(x).map(Box::new);
     Some(match e {
-        Expr::Column(c) => CompiledExpr::Col(exec::resolve_column(bindings, c).ok()?),
+        Expr::Column(c) => CompiledExpr::Col(resolve(c)?),
         Expr::Literal(v) => CompiledExpr::Lit(v.clone()),
         Expr::Parameter(n) => CompiledExpr::Param(*n),
         Expr::Unary { op, expr } => CompiledExpr::Unary {
             op: *op,
-            expr: Box::new(compile_expr(expr, bindings)?),
+            expr: boxed(expr)?,
         },
         Expr::Binary { left, op, right } => CompiledExpr::Binary {
-            left: Box::new(compile_expr(left, bindings)?),
+            left: boxed(left)?,
             op: *op,
-            right: Box::new(compile_expr(right, bindings)?),
+            right: boxed(right)?,
         },
         Expr::Function {
             name,
@@ -677,10 +736,7 @@ pub(crate) fn compile_expr(e: &Expr, bindings: &[Binding]) -> Option<CompiledExp
             star: false,
         } if !apuama_sql::ast::is_aggregate_name(name) => CompiledExpr::Func {
             name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| compile_expr(a, bindings))
-                .collect::<Option<Vec<_>>>()?,
+            args: args.iter().map(sub).collect::<Option<Vec<_>>>()?,
         },
         Expr::Case {
             branches,
@@ -688,10 +744,10 @@ pub(crate) fn compile_expr(e: &Expr, bindings: &[Binding]) -> Option<CompiledExp
         } => CompiledExpr::Case {
             branches: branches
                 .iter()
-                .map(|(c, r)| Some((compile_expr(c, bindings)?, compile_expr(r, bindings)?)))
+                .map(|(c, r)| Some((sub(c)?, sub(r)?)))
                 .collect::<Option<Vec<_>>>()?,
             else_expr: match else_expr {
-                Some(x) => Some(Box::new(compile_expr(x, bindings)?)),
+                Some(x) => Some(boxed(x)?),
                 None => None,
             },
         },
@@ -701,34 +757,31 @@ pub(crate) fn compile_expr(e: &Expr, bindings: &[Binding]) -> Option<CompiledExp
             low,
             high,
         } => CompiledExpr::Between {
-            expr: Box::new(compile_expr(expr, bindings)?),
+            expr: boxed(expr)?,
             negated: *negated,
-            low: Box::new(compile_expr(low, bindings)?),
-            high: Box::new(compile_expr(high, bindings)?),
+            low: boxed(low)?,
+            high: boxed(high)?,
         },
         Expr::InList {
             expr,
             negated,
             list,
         } => CompiledExpr::InList {
-            expr: Box::new(compile_expr(expr, bindings)?),
+            expr: boxed(expr)?,
             negated: *negated,
-            list: list
-                .iter()
-                .map(|x| compile_expr(x, bindings))
-                .collect::<Option<Vec<_>>>()?,
+            list: list.iter().map(sub).collect::<Option<Vec<_>>>()?,
         },
         Expr::Like {
             expr,
             negated,
             pattern,
         } => CompiledExpr::Like {
-            expr: Box::new(compile_expr(expr, bindings)?),
+            expr: boxed(expr)?,
             negated: *negated,
-            pattern: Box::new(compile_expr(pattern, bindings)?),
+            pattern: boxed(pattern)?,
         },
         Expr::IsNull { expr, negated } => CompiledExpr::IsNull {
-            expr: Box::new(compile_expr(expr, bindings)?),
+            expr: boxed(expr)?,
             negated: *negated,
         },
         // Subqueries, DISTINCT/star aggregates in scalar position, and
@@ -743,13 +796,36 @@ pub(crate) fn compile_expr(e: &Expr, bindings: &[Binding]) -> Option<CompiledExp
 /// unbound-parameter error keeps surfacing lazily, on the first row that
 /// actually evaluates it, exactly like the unprebound program.
 pub(crate) fn prebind_params(e: &CompiledExpr, ctx: &ExecContext<'_>) -> CompiledExpr {
-    let bind = |x: &CompiledExpr| Box::new(prebind_params(x, ctx));
+    map_leaves(e, &|leaf| match leaf {
+        CompiledExpr::Param(n) => ctx.param(*n).ok().map(CompiledExpr::Lit),
+        _ => None,
+    })
+}
+
+/// Folds the outer row into a program compiled over `inner ++ outer`
+/// columns: every `Col(i)` with `i >= n_inner` becomes the literal
+/// `outer[i - n_inner]`, leaving a program over the inner row alone.
+pub(crate) fn bind_outer(e: &CompiledExpr, n_inner: usize, outer: &[Value]) -> CompiledExpr {
+    map_leaves(e, &|leaf| match leaf {
+        CompiledExpr::Col(i) if *i >= n_inner => {
+            Some(CompiledExpr::Lit(outer[*i - n_inner].clone()))
+        }
+        _ => None,
+    })
+}
+
+/// Copies a program, replacing each leaf (`Col`, `Lit`, `Param`) for which
+/// `leaf` returns a substitute.
+fn map_leaves(
+    e: &CompiledExpr,
+    leaf: &impl Fn(&CompiledExpr) -> Option<CompiledExpr>,
+) -> CompiledExpr {
+    let map = |x: &CompiledExpr| map_leaves(x, leaf);
+    let bind = |x: &CompiledExpr| Box::new(map(x));
     match e {
-        CompiledExpr::Param(n) => match ctx.param(*n) {
-            Ok(v) => CompiledExpr::Lit(v),
-            Err(_) => CompiledExpr::Param(*n),
-        },
-        CompiledExpr::Col(_) | CompiledExpr::Lit(_) => e.clone(),
+        CompiledExpr::Col(_) | CompiledExpr::Lit(_) | CompiledExpr::Param(_) => {
+            leaf(e).unwrap_or_else(|| e.clone())
+        }
         CompiledExpr::Unary { op, expr } => CompiledExpr::Unary {
             op: *op,
             expr: bind(expr),
@@ -761,16 +837,13 @@ pub(crate) fn prebind_params(e: &CompiledExpr, ctx: &ExecContext<'_>) -> Compile
         },
         CompiledExpr::Func { name, args } => CompiledExpr::Func {
             name: name.clone(),
-            args: args.iter().map(|a| prebind_params(a, ctx)).collect(),
+            args: args.iter().map(map).collect(),
         },
         CompiledExpr::Case {
             branches,
             else_expr,
         } => CompiledExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, r)| (prebind_params(c, ctx), prebind_params(r, ctx)))
-                .collect(),
+            branches: branches.iter().map(|(c, r)| (map(c), map(r))).collect(),
             else_expr: else_expr.as_ref().map(|x| bind(x)),
         },
         CompiledExpr::Between {
@@ -791,7 +864,7 @@ pub(crate) fn prebind_params(e: &CompiledExpr, ctx: &ExecContext<'_>) -> Compile
         } => CompiledExpr::InList {
             expr: bind(expr),
             negated: *negated,
-            list: list.iter().map(|x| prebind_params(x, ctx)).collect(),
+            list: list.iter().map(map).collect(),
         },
         CompiledExpr::Like {
             expr,

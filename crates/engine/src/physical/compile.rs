@@ -2,14 +2,14 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hasher;
 
-use apuama_sql::ast::{BinOp, Expr};
+use apuama_sql::ast::{BinOp, ColumnRef, Expr, TableRef};
 use apuama_sql::value::hash_value;
 use apuama_sql::Value;
-use apuama_storage::{Row, RowId};
+use apuama_storage::{OrderedIndex, Row, RowId};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
-use crate::exec::{Binding, ExecContext, GroupState, Relation};
+use crate::exec::{self, Binding, ExecContext, GroupState, Relation};
 use crate::table::Table;
 
 /// A filter predicate, pre-resolved to positional form where possible.
@@ -19,8 +19,10 @@ use crate::table::Table;
 /// so falling back to `Framed` never changes semantics. The batch-exec
 /// mode additionally specializes the hot `col <cmp> literal` shape to a
 /// direct comparison (`FastCmp`), skipping the expression walk and its
-/// per-operand `Value` clones.
-pub(crate) enum ResidualPred {
+/// per-operand `Value` clones. A correlated single-table `EXISTS` compiles
+/// to an [`ExistsProbe`] under the same rule: only shapes proven
+/// equivalent to framed evaluation.
+pub(crate) enum ResidualPred<'e> {
     /// `col <op> lit`, normalized so the column is on the left. Semantics
     /// mirror [`eval::eval_binary_with`] for comparison operators: NULL on
     /// either side filters the row (three-valued logic), incomparable
@@ -31,12 +33,13 @@ pub(crate) enum ResidualPred {
         lit: Value,
     },
     Compiled(CompiledExpr),
+    Exists(ExistsProbe<'e>),
     Framed(Expr),
 }
 
-impl ResidualPred {
+impl ResidualPred<'_> {
     /// Re-sinks a compiled predicate into its fastest evaluable form.
-    pub(crate) fn from_compiled(c: CompiledExpr) -> ResidualPred {
+    pub(crate) fn from_compiled(c: CompiledExpr) -> Self {
         if let CompiledExpr::Binary { left, op, right } = &c {
             if op.is_comparison() {
                 match (left.as_ref(), right.as_ref()) {
@@ -62,6 +65,134 @@ impl ResidualPred {
     }
 }
 
+/// A correlated `[NOT] EXISTS (select … from t where …)` conjunct,
+/// resolved once when its operator opens instead of per row by
+/// [`eval_expr`]'s frame walk: the inner table and its probe-candidate
+/// indexes are looked up once, the probe keys are programs over the
+/// operator's row, and the subquery's predicate is one program over the
+/// inner columns followed by the operator's, into which each outer row's
+/// values are folded once (not once per candidate).
+///
+/// Evaluation is the framed path's, step for step: the candidates come
+/// from the same [`eval::exists_probe_candidates`], the same
+/// [`eval::choose_probe`] picks the first key that evaluates, and the
+/// same [`eval::exists_search`] loop charges the index probe and each
+/// visited row — so rows, errors and every counter are unchanged.
+pub(crate) struct ExistsProbe<'e> {
+    table: &'e Table,
+    negated: bool,
+    /// `(index, key over the operator's row)`, in probe-preference order.
+    candidates: Vec<(&'e OrderedIndex, CompiledExpr)>,
+    /// The subquery's WHERE over the inner columns, then the operator's.
+    pred: Option<CompiledExpr>,
+    n_inner: usize,
+}
+
+impl<'e> ExistsProbe<'e> {
+    /// Compiles `e` against an operator whose rows are described by
+    /// `bindings` and which has no enclosing query scopes. `None` — the
+    /// caller keeps framed evaluation — unless `e` is an `EXISTS` over one
+    /// existing table whose predicate and probe keys all pre-resolve: a
+    /// name that is ambiguous or unknown in frame order, a nested
+    /// subquery, or an aggregate call all decline.
+    pub(crate) fn compile(e: &Expr, bindings: &[Binding], ctx: &ExecContext<'e>) -> Option<Self> {
+        let Expr::Exists { negated, query } = e else {
+            return None;
+        };
+        let [TableRef::Table { name, alias }] = query.from.as_slice() else {
+            return None;
+        };
+        let table = ctx.db.table(name)?;
+        let inner = exec::bindings_for_table(&table.schema, alias.as_deref());
+        let n_inner = inner.len();
+        // Frame order: the inner row first, then the operator's; an
+        // ambiguous name stops the search there, as `resolve_in_frames` does.
+        let resolve = |c: &ColumnRef| match exec::resolve_column(&inner, c) {
+            Ok(i) => Some(i),
+            Err(EngineError::AmbiguousColumn(_)) => None,
+            Err(_) => exec::resolve_column(bindings, c).ok().map(|i| n_inner + i),
+        };
+        let pred = match &query.selection {
+            Some(p) => Some(eval::prebind_params(
+                &eval::compile_expr_with(p, &resolve)?,
+                ctx,
+            )),
+            None => None,
+        };
+        let mut candidates = Vec::new();
+        for (idx, key) in eval::exists_probe_candidates(query.selection.as_ref(), &inner, table) {
+            // A bare column the operator's row lacks can never evaluate,
+            // so the framed path always skips it.
+            if let Expr::Column(c) = key {
+                if exec::resolve_column(bindings, c).is_err() {
+                    continue;
+                }
+            }
+            let key = eval::prebind_params(&eval::compile_expr(key, bindings)?, ctx);
+            // A column or literal key always evaluates: later candidates
+            // are never consulted.
+            let last = matches!(key, CompiledExpr::Col(_) | CompiledExpr::Lit(_));
+            candidates.push((idx, key));
+            if last {
+                break;
+            }
+        }
+        Some(ExistsProbe {
+            table,
+            negated: *negated,
+            candidates,
+            pred,
+            n_inner,
+        })
+    }
+
+    /// The conjunct's truth for one operator row.
+    pub(crate) fn eval(&self, row: &[Value], ctx: &ExecContext<'_>) -> EngineResult<bool> {
+        let probe = eval::choose_probe(&self.candidates, |key| eval::eval_compiled(key, row, ctx));
+        // Bound on the first visited candidate: a probe that finds no
+        // posting never needs the outer values.
+        let mut bound: Option<CompiledExpr> = None;
+        let found = eval::exists_search(self.table, probe, ctx, |inner| {
+            let Some(pred) = &self.pred else {
+                return Ok(true);
+            };
+            let pred = bound.get_or_insert_with(|| eval::bind_outer(pred, self.n_inner, row));
+            Ok(truthiness(&eval::eval_compiled(pred, inner, ctx)?) == Some(true))
+        })?;
+        Ok(found != self.negated)
+    }
+}
+
+/// Resolves one conjunct of an operator — its rows described by
+/// `bindings`, its enclosing query scopes by `outer` — into its cheapest
+/// exact form: compiled when every column
+/// is the operator's own (batch-exec mode also folds bound parameters in
+/// and specializes `col <cmp> literal`; the legacy mode keeps the seed
+/// interpreter's per-row parameter lookups), a compiled [`ExistsProbe`]
+/// when `outer` is empty and the conjunct is a provable correlated
+/// `EXISTS`, framed otherwise.
+pub(crate) fn resolve_pred<'e>(
+    e: &Expr,
+    bindings: &[Binding],
+    outer: &[Frame<'_>],
+    ctx: &ExecContext<'e>,
+    batch_mode: bool,
+) -> ResidualPred<'e> {
+    if let Some(c) = eval::compile_expr(e, bindings) {
+        return if batch_mode {
+            ResidualPred::from_compiled(eval::prebind_params(&c, ctx))
+        } else {
+            ResidualPred::Compiled(c)
+        };
+    }
+    if outer.is_empty() {
+        if let Some(probe) = ExistsProbe::compile(e, bindings, ctx) {
+            return ResidualPred::Exists(probe);
+        }
+    }
+    ResidualPred::Framed(e.clone())
+}
+
 /// Mirror image of a comparison operator (`lit < col` ⇔ `col > lit`).
 pub(crate) fn flip_cmp(op: BinOp) -> BinOp {
     match op {
@@ -83,37 +214,6 @@ pub(crate) fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
         BinOp::GtEq => ord != Ordering::Less,
         _ => unreachable!("FastCmp only built for comparison operators"),
     }
-}
-
-/// Legacy (row-at-a-time) predicate resolution: compiled where possible,
-/// framed otherwise, parameters looked up per row — the seed interpreter's
-/// cost profile.
-pub(crate) fn resolve_preds(preds: &[Expr], bindings: &[Binding]) -> Vec<ResidualPred> {
-    preds
-        .iter()
-        .map(|e| match eval::compile_expr(e, bindings) {
-            Some(c) => ResidualPred::Compiled(c),
-            None => ResidualPred::Framed(e.clone()),
-        })
-        .collect()
-}
-
-/// Batch-exec predicate resolution: bound parameters are folded into the
-/// program once per execution and the `col <cmp> literal` shape is
-/// specialized. Values and errors are identical to [`resolve_preds`]'
-/// output; only the per-row cost differs.
-pub(crate) fn resolve_preds_batch(
-    preds: &[Expr],
-    bindings: &[Binding],
-    ctx: &ExecContext<'_>,
-) -> Vec<ResidualPred> {
-    preds
-        .iter()
-        .map(|e| match eval::compile_expr(e, bindings) {
-            Some(c) => ResidualPred::from_compiled(eval::prebind_params(&c, ctx)),
-            None => ResidualPred::Framed(e.clone()),
-        })
-        .collect()
 }
 
 /// One row through a conjunctive predicate list: `charge` is called before
@@ -151,6 +251,7 @@ pub(crate) fn keep_row_charged(
             ResidualPred::Compiled(c) => {
                 truthiness(&eval::eval_compiled(c, row, ctx)?) == Some(true)
             }
+            ResidualPred::Exists(probe) => probe.eval(row, ctx)?,
             ResidualPred::Framed(e) => {
                 let frames = frames.get_or_insert_with(|| {
                     let mut f = Vec::with_capacity(outer.len() + 1);
@@ -682,4 +783,106 @@ pub(crate) fn filter_rows(
         rows.push(row);
     }
     Ok(Relation { bindings, rows })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::Database;
+
+    fn db() -> Database {
+        let mut db = Database::in_memory();
+        db.execute("create table o (k int not null, r int, primary key (k))")
+            .unwrap();
+        db.execute("create table i (ik int not null, r int, s int, primary key (ik))")
+            .unwrap();
+        db.execute("create index i_r on i (r)").unwrap();
+        db
+    }
+
+    fn compiles(sql: &str, bindings: &[Binding]) -> Option<usize> {
+        let db = db();
+        let ctx = ExecContext::new(&db);
+        let e = apuama_sql::parse_expression(sql).unwrap();
+        ExistsProbe::compile(&e, bindings, &ctx).map(|p| p.candidates.len())
+    }
+
+    #[test]
+    fn exists_probe_compiles_only_provable_shapes() {
+        let db = db();
+        let o = exec::bindings_for_table(&db.table("o").unwrap().schema, None);
+        // Correlated probe on the indexed column, residual over both rows.
+        assert_eq!(
+            compiles("exists (select * from i where i.r = o.r and s <> k)", &o),
+            Some(1)
+        );
+        // `not exists`, and no WHERE at all (no probe candidate).
+        assert_eq!(
+            compiles("not exists (select * from i where r = o.r)", &o),
+            Some(1)
+        );
+        assert_eq!(compiles("exists (select * from i)", &o), Some(0));
+        // A key over the inner table can never evaluate outside: skipped.
+        assert_eq!(
+            compiles("exists (select * from i where r = s)", &o),
+            Some(0)
+        );
+        // Declined: unknown names, nested subqueries, joins, non-EXISTS.
+        assert_eq!(
+            compiles("exists (select * from i where i.r = zz)", &o),
+            None
+        );
+        assert_eq!(
+            compiles(
+                "exists (select * from i where r = (select max(k) from o))",
+                &o
+            ),
+            None
+        );
+        assert_eq!(
+            compiles("exists (select * from i, o where i.r = o.r)", &o),
+            None
+        );
+        assert_eq!(compiles("exists (select * from nosuch)", &o), None);
+        assert_eq!(compiles("k in (select r from i)", &o), None);
+        // An outer name ambiguous in the operator's row (a self-join).
+        let mut join = exec::bindings_for_table(&db.table("o").unwrap().schema, Some("a"));
+        join.extend(exec::bindings_for_table(
+            &db.table("o").unwrap().schema,
+            Some("b"),
+        ));
+        assert_eq!(
+            compiles("exists (select * from i where i.r = a.r)", &join),
+            Some(1)
+        );
+        assert_eq!(
+            compiles("exists (select * from i where i.r = k)", &join),
+            None
+        );
+        assert_eq!(
+            compiles("exists (select * from i where i.r = a.r and s = k)", &join),
+            None
+        );
+    }
+
+    #[test]
+    fn exists_keeps_framed_evaluation_under_enclosing_scopes() {
+        let db = db();
+        let ctx = ExecContext::new(&db);
+        let o = exec::bindings_for_table(&db.table("o").unwrap().schema, None);
+        let e = apuama_sql::parse_expression("exists (select * from i where i.r = o.r)").unwrap();
+        assert!(matches!(
+            resolve_pred(&e, &o, &[], &ctx, true),
+            ResidualPred::Exists(_)
+        ));
+        let row = vec![Value::Int(1), Value::Int(2)];
+        let outer = [Frame {
+            bindings: &o,
+            row: &row,
+        }];
+        assert!(matches!(
+            resolve_pred(&e, &o, &outer, &ctx, true),
+            ResidualPred::Framed(_)
+        ));
+    }
 }

@@ -23,7 +23,7 @@ pub(crate) struct FilterExec<'e> {
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     in_bindings: Vec<Binding>,
-    resolved: Vec<ResidualPred>,
+    resolved: Vec<ResidualPred<'e>>,
     emitter: Option<BatchEmitter>,
 }
 
@@ -121,11 +121,11 @@ impl<'e> FilterExec<'e> {
 impl<'e> Operator<'e> for FilterExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         self.in_bindings = self.child.open()?;
-        self.resolved = if self.batch_mode {
-            resolve_preds_batch(&self.preds, &self.in_bindings, self.ctx)
-        } else {
-            resolve_preds(&self.preds, &self.in_bindings)
-        };
+        self.resolved = self
+            .preds
+            .iter()
+            .map(|e| resolve_pred(e, &self.in_bindings, self.outer, self.ctx, self.batch_mode))
+            .collect();
         Ok(self.in_bindings.clone())
     }
 

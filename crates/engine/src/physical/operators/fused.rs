@@ -43,7 +43,7 @@ pub(crate) fn resolve_fused_preds(
     plan: &FusedPlan,
     choice: &planner::ScanChoice,
     ctx: &ExecContext<'_>,
-) -> Vec<ResidualPred> {
+) -> Vec<ResidualPred<'static>> {
     plan.compiled_single
         .iter()
         .enumerate()

@@ -3,7 +3,7 @@ use apuama_sql::Value;
 use apuama_storage::{AccessKind, Row, RowId};
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, eval_expr, Frame};
+use crate::eval::{eval_expr, Frame};
 use crate::exec::{self, BatchedCounter, Binding, ExecContext, Relation};
 use crate::planner::{self, AccessPath};
 use crate::table::Table;
@@ -27,7 +27,7 @@ pub(crate) struct ScanState<'e> {
     iter: ScanIter<'e>,
     kind: AccessKind,
     last_page: u64,
-    residual: Vec<ResidualPred>,
+    residual: Vec<ResidualPred<'e>>,
     scanned: BatchedCounter<'e, 'e>,
 }
 
@@ -101,13 +101,7 @@ impl<'e> Operator<'e> for ScanExec<'e> {
             .collect();
         let residual = residual_exprs
             .iter()
-            .map(|e| match eval::compile_expr(e, &bindings) {
-                Some(c) if self.batch_mode => {
-                    ResidualPred::from_compiled(eval::prebind_params(&c, ctx))
-                }
-                Some(c) => ResidualPred::Compiled(c),
-                None => ResidualPred::Framed((*e).clone()),
-            })
+            .map(|e| resolve_pred(e, &bindings, self.outer, ctx, self.batch_mode))
             .collect();
         let (iter, kind) = match &choice.path {
             AccessPath::SeqScan => (

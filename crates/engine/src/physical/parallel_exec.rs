@@ -197,7 +197,7 @@ pub(crate) fn record_worker_probes(
 /// [`ParallelScanExec::open`] when the scan is wide enough to split.
 pub(crate) struct PreparedScan<'e> {
     sm: ScanMorsels<'e>,
-    residual: Vec<ResidualPred>,
+    residual: Vec<ResidualPred<'e>>,
     bindings: Vec<Binding>,
 }
 

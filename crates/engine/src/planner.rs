@@ -9,6 +9,7 @@
 //! `SET enable_seqscan = off`, which this planner honours the way PostgreSQL
 //! does (a discouragement penalty, not a hard ban).
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::Bound;
 
@@ -65,24 +66,30 @@ struct ColumnBounds {
 }
 
 impl ColumnBounds {
+    /// Keeps the tighter of the current and the new lower bound. On equal
+    /// values the result is exclusive if either bound is, so `k = 5 and
+    /// k > 5` is the empty range in either conjunct order.
     fn tighten_low(&mut self, v: Value, inclusive: bool) {
-        let better = match &self.low {
-            None => true,
-            Some((cur, _)) => v.sort_cmp(cur) == std::cmp::Ordering::Greater,
-        };
-        if better {
-            self.low = Some((v, inclusive));
-        }
+        self.low = Some(match self.low.take() {
+            None => (v, inclusive),
+            Some((cur, cur_incl)) => match v.sort_cmp(&cur) {
+                Ordering::Greater => (v, inclusive),
+                Ordering::Equal => (cur, cur_incl && inclusive),
+                Ordering::Less => (cur, cur_incl),
+            },
+        });
     }
 
+    /// Upper-bound mirror of [`Self::tighten_low`].
     fn tighten_high(&mut self, v: Value, inclusive: bool) {
-        let better = match &self.high {
-            None => true,
-            Some((cur, _)) => v.sort_cmp(cur) == std::cmp::Ordering::Less,
-        };
-        if better {
-            self.high = Some((v, inclusive));
-        }
+        self.high = Some(match self.high.take() {
+            None => (v, inclusive),
+            Some((cur, cur_incl)) => match v.sort_cmp(&cur) {
+                Ordering::Less => (v, inclusive),
+                Ordering::Equal => (cur, cur_incl && inclusive),
+                Ordering::Greater => (cur, cur_incl),
+            },
+        });
     }
 
     fn low_bound(&self) -> Bound<Value> {
@@ -626,6 +633,57 @@ mod tests {
                 assert_eq!(high, Bound::Included(Value::Int(42)));
             }
             other => panic!("expected point range, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn equal_bounds_keep_the_exclusive_one_in_either_order() {
+        let t = test_table(1_000);
+        for (sql, low, high) in [
+            (
+                "k = 42 and k < 42",
+                Bound::Included(Value::Int(42)),
+                Bound::Excluded(Value::Int(42)),
+            ),
+            (
+                "k < 42 and k = 42",
+                Bound::Included(Value::Int(42)),
+                Bound::Excluded(Value::Int(42)),
+            ),
+            (
+                "k = 42 and k > 42",
+                Bound::Excluded(Value::Int(42)),
+                Bound::Included(Value::Int(42)),
+            ),
+            (
+                "k > 42 and k = 42",
+                Bound::Excluded(Value::Int(42)),
+                Bound::Included(Value::Int(42)),
+            ),
+            (
+                "k >= 42 and k <= 42 and k = 42",
+                Bound::Included(Value::Int(42)),
+                Bound::Included(Value::Int(42)),
+            ),
+        ] {
+            let pred = parse_expression(sql).unwrap();
+            let conjuncts = crate::eval::split_conjuncts(Some(&pred));
+            let c = choose_access_path(&t, "t", &conjuncts, false, true, &const_eval);
+            match c.path {
+                AccessPath::IndexRange {
+                    low: l, high: h, ..
+                } => {
+                    assert_eq!((&l, &h), (&low, &high), "{sql}");
+                    let idx = t.index_on(0).unwrap();
+                    let hits = idx
+                        .range(crate::exec::bound_ref(&l), crate::exec::bound_ref(&h))
+                        .count();
+                    let want =
+                        usize::from(matches!((&l, &h), (Bound::Included(_), Bound::Included(_))));
+                    assert_eq!(hits, want, "{sql}");
+                }
+                other => panic!("expected index range for {sql}, got {other:?}"),
+            }
         }
     }
 

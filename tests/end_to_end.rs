@@ -258,3 +258,47 @@ mod svp_failure {
         assert_eq!(engine.txn_counters(), vec![1, 1, 1]);
     }
 }
+
+/// An SVP point lookup on a virtual-partition boundary key returns its
+/// rows exactly once. The sub-query of the range ending at the key adds
+/// `key < boundary` to `key = boundary`; the planner must treat that pair
+/// as the empty range, not as the point, or the boundary rows come back
+/// from two sub-queries.
+#[test]
+fn svp_point_lookups_on_partition_boundaries_return_each_row_once() {
+    let data = tpch_data();
+    let mut reference_db = Database::in_memory();
+    load_into(&mut reference_db, &data).unwrap();
+    let (engine, _) = build_cluster(&data, 4, ApuamaConfig::default());
+    for (table, key, cols) in [
+        (
+            "orders",
+            "o_orderkey",
+            "o_orderkey, o_custkey, o_totalprice, o_orderdate",
+        ),
+        (
+            "lineitem",
+            "l_orderkey",
+            "l_orderkey, l_linenumber, l_quantity, l_shipdate",
+        ),
+    ] {
+        let probe = format!("select {cols} from {table} where {key} = 1");
+        let apuama::Rewritten::Svp(plan) = engine.rewriter().rewrite(&probe, 4).unwrap() else {
+            panic!("{probe} should take the SVP path");
+        };
+        let boundaries: Vec<i64> = plan.ranges.iter().filter_map(|&(_, hi)| hi).collect();
+        assert_eq!(boundaries.len(), 3, "{table}: {:?}", plan.ranges);
+        for k in boundaries.iter().flat_map(|&b| [b - 1, b, b + 1]) {
+            let sql = format!("select {cols} from {table} where {key} = {k}");
+            let expected = reference_db.query(&sql).unwrap();
+            assert!(!expected.rows.is_empty(), "{sql}: key must exist");
+            let mut actual = engine.execute_read(0, &sql).unwrap();
+            actual
+                .rows
+                .sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+            let mut want = expected.rows;
+            want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+            assert_eq!(actual.rows, want, "{sql}");
+        }
+    }
+}

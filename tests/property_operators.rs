@@ -432,3 +432,217 @@ fn tpch_eval_queries_identical_with_kernel_on_and_off() {
         db.query("set enable_batch_exec = on").unwrap();
     }
 }
+
+/// Rewrites every `exists (…)` in `sql` as `(exists (…) or false)`. The
+/// disjunction has the same truth value and is still one conjunct (one
+/// cpu charge), but it is not an `EXISTS` conjunct, so the engine
+/// evaluates it by framed tree-walk instead of the compiled index probe —
+/// the reference the compiled probe must match.
+fn framed_exists(sql: &str) -> String {
+    let mut out = String::new();
+    let mut rest = sql;
+    while let Some(at) = rest.find("exists (") {
+        let open = at + "exists ".len();
+        let mut depth = 0usize;
+        let close = rest[open..]
+            .char_indices()
+            .find_map(|(i, c)| {
+                match c {
+                    '(' => depth += 1,
+                    ')' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Some(open + i);
+                        }
+                    }
+                    _ => {}
+                }
+                None
+            })
+            .expect("balanced parentheses");
+        out.push_str(&rest[..at]);
+        out.push('(');
+        out.push_str(&rest[at..=close]);
+        out.push_str(" or false)");
+        rest = &rest[close + 1..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Runs `template` bound to `params` through the compiled and the framed
+/// `EXISTS` path, each as text and as a bound statement, with
+/// `enable_batch_exec` on and off, and asserts all eight outcomes — rows,
+/// errors, `ExecStats` and buffer-pool accesses — are identical.
+fn assert_exists_paths_identical(db: &Database, template: &str, params: &[Value]) {
+    let reference_text = render(&framed_exists(template), params);
+    db.query("set enable_batch_exec = on").unwrap();
+    let want = db.query(&reference_text);
+    for batch in ["on", "off"] {
+        db.query(&format!("set enable_batch_exec = {batch}"))
+            .unwrap();
+        for (path, tpl) in [
+            ("compiled", template.to_string()),
+            ("framed", framed_exists(template)),
+        ] {
+            let text = render(&tpl, params);
+            for (how, got) in [
+                ("text", db.query(&text)),
+                ("bound", db.query_bound(&tpl, params)),
+            ] {
+                let what = format!("{path} {how}, batch {batch}: {text}");
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => assert_identical(g, w, &what),
+                    (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{what}"),
+                    _ => panic!("{what}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+    }
+    db.query("set enable_batch_exec = on").unwrap();
+}
+
+/// The compiled correlated `EXISTS` probe agrees with framed evaluation
+/// on TPC-H Q4 (`exists`) and Q21 (`exists` and `not exists`).
+#[test]
+fn compiled_exists_probe_matches_framed_on_tpch_q4_and_q21() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.002,
+        seed: 11,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    db.query("set parallel_workers = 1").unwrap();
+    let params = QueryParams::default();
+    for q in [apuama_tpch::TpchQuery::Q4, apuama_tpch::TpchQuery::Q21] {
+        let sql = q.sql(&params);
+        assert!(framed_exists(&sql).contains("or false)"), "{}", q.label());
+        assert_exists_paths_identical(&db, &sql, &[]);
+    }
+}
+
+/// Edge cases of the compiled `EXISTS` probe, each identical to framed
+/// evaluation across batch modes and text vs bound paths.
+#[test]
+fn compiled_exists_probe_edge_cases_match_framed() {
+    let mut db = Database::in_memory();
+    db.execute(
+        "create table outer_t (k int not null, ref int, s int, note text, \
+         primary key (k)) clustered by (k)",
+    )
+    .unwrap();
+    db.execute(
+        "create table inner_t (ik int not null, ref int, s int, v int, flag text, \
+         primary key (ik)) clustered by (ik)",
+    )
+    .unwrap();
+    db.execute("create index inner_ref on inner_t (ref)")
+        .unwrap();
+    // Every fifth outer row has a NULL correlation key; inner keys cover
+    // only part of the outer key range, some of them NULL too.
+    let outer: Vec<Vec<Value>> = (0..300i64)
+        .map(|k| {
+            vec![
+                Value::Int(k),
+                if k % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(k % 40)
+                },
+                Value::Int(k % 3),
+                Value::Str(format!("n{}", k % 4)),
+            ]
+        })
+        .collect();
+    let inner: Vec<Vec<Value>> = (0..500i64)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 25)
+                },
+                Value::Int(i % 4),
+                Value::Int(i % 100),
+                Value::Str(format!("F{}", i % 3)),
+            ]
+        })
+        .collect();
+    db.load_table("outer_t", outer).unwrap();
+    db.load_table("inner_t", inner).unwrap();
+    db.query("set parallel_workers = 1").unwrap();
+
+    let cases: &[(&str, &[Value])] = &[
+        // NULL outer key: the probe looks up NULL and finds nothing.
+        (
+            "select k from outer_t where exists (select * from inner_t \
+             where inner_t.ref = outer_t.ref) order by k",
+            &[],
+        ),
+        (
+            "select k from outer_t where not exists (select * from inner_t \
+             where inner_t.ref = outer_t.ref and inner_t.s <> outer_t.s) order by k",
+            &[],
+        ),
+        // No WHERE: no probe candidate, a sequential search per row.
+        (
+            "select count(*) as n from outer_t where k < 20 \
+             and exists (select * from inner_t)",
+            &[],
+        ),
+        // Unqualified inner names shadow the outer row's.
+        (
+            "select k from outer_t where exists (select * from inner_t \
+             where ref = outer_t.ref and s <> outer_t.s) order by k",
+            &[],
+        ),
+        // `ref = ref`: the probe key resolves outside, the predicate inside.
+        (
+            "select count(*) as n from outer_t where exists (select * from inner_t \
+             where ref = ref and v > 90)",
+            &[],
+        ),
+        // An unqualified outer name that both join inputs carry.
+        (
+            "select o1.k from outer_t o1, outer_t o2 where o1.k = o2.k \
+             and exists (select * from inner_t where inner_t.ref = o1.ref and note = 'n1') \
+             order by o1.k",
+            &[],
+        ),
+        // Correlated through a join's row (the filter above the join).
+        (
+            "select o1.k from outer_t o1, outer_t o2 where o1.k = o2.k + 1 \
+             and exists (select * from inner_t where inner_t.ref = o1.ref \
+             and inner_t.s = o2.s) order by o1.k",
+            &[],
+        ),
+        // A parameter inside the subquery.
+        (
+            "select k from outer_t where exists (select * from inner_t \
+             where inner_t.ref = outer_t.ref and inner_t.v > $1) order by k",
+            &[Value::Int(60)],
+        ),
+        // A parameter as the probe key.
+        (
+            "select count(*) as n from outer_t where k < $1 \
+             and exists (select * from inner_t where inner_t.ref = $2)",
+            &[Value::Int(50), Value::Int(3)],
+        ),
+        // GROUP BY / LIMIT in the subquery do not change existence.
+        (
+            "select k from outer_t where exists (select flag from inner_t \
+             where inner_t.ref = outer_t.ref group by flag limit 0) order by k",
+            &[],
+        ),
+        // A type error in the inner predicate surfaces identically.
+        (
+            "select k from outer_t where exists (select * from inner_t \
+             where inner_t.ref = outer_t.ref and inner_t.flag > 3) order by k",
+            &[],
+        ),
+    ];
+    for (template, params) in cases {
+        assert_exists_paths_identical(&db, template, params);
+    }
+}
