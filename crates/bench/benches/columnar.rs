@@ -1,19 +1,15 @@
 //! Columnar-pipeline arms: what transposing scan batches into typed
-//! column vectors (DESIGN.md §13) buys on the fused
-//! scan→filter→aggregate shape.
+//! column vectors (DESIGN.md §13) buys on the scan→filter→aggregate shape
+//! an aggregate drives itself.
 //!
-//! Three arms over the same Q1-style statement on one node, all prepared
-//! once and executed through the cached plan:
+//! Two arms over the same Q1-style statement on one node, both prepared
+//! once, executed through the cached plan, and serial
+//! (`parallel_workers = 1`):
 //!
-//! * `row_pipeline` — the general batch-at-a-time operator tree (fusion
-//!   off, `enable_batch_exec` on, columnar irrelevant): the row-batch
-//!   pipeline baseline the columnar fold is gated against.
-//! * `fused_row` — the fusion rewrite with `enable_columnar = off`: the
-//!   scalar row loop inside the kernel, for visibility into how much of
-//!   the win is fusion vs vectorization.
-//! * `columnar` — the fusion rewrite with `enable_columnar = on` (the
-//!   default): predicate and aggregate loops over typed column vectors
-//!   under a selection vector.
+//! * `row_pipeline` — `enable_columnar = off`: the aggregate's compiled
+//!   scalar row loop, the baseline the columnar fold is gated against.
+//! * `columnar` — `enable_columnar = on` (the default): predicate and
+//!   aggregate loops over typed column vectors under a selection vector.
 //!
 //! Runs as a plain binary (`harness = false`), prints one line per arm,
 //! and writes `BENCH_columnar.json` at the workspace root for CI's
@@ -84,55 +80,40 @@ fn main() {
     db.query("set enable_batch_exec = on").unwrap();
     db.prepare(Q1ISH).unwrap();
 
-    // Sanity first: all three modes must answer identically before any is
+    db.query("set parallel_workers = 1").unwrap();
+
+    // Sanity first: both modes must answer identically before either is
     // worth timing (quantities and 1.25-step prices are exact in f64).
-    db.query("set enable_kernel = off").unwrap();
-    let want = db.query_bound(Q1ISH, &params).unwrap();
-    db.query("set enable_kernel = on").unwrap();
     db.query("set enable_columnar = off").unwrap();
-    assert_eq!(db.query_bound(Q1ISH, &params).unwrap().rows, want.rows);
+    let want = db.query_bound(Q1ISH, &params).unwrap();
     db.query("set enable_columnar = on").unwrap();
     assert_eq!(db.query_bound(Q1ISH, &params).unwrap().rows, want.rows);
 
-    // -- arm 1: row_pipeline (fusion off, batch exec on) -------------------
-    db.query("set enable_kernel = off").unwrap();
+    // -- arm 1: row_pipeline (columnar off) --------------------------------
+    db.query("set enable_columnar = off").unwrap();
     let row_us = time_us(warmup, iters, || {
         db.query_bound(Q1ISH, &params).unwrap();
     });
 
-    // -- arm 2: fused_row (fusion on, columnar off) ------------------------
-    db.query("set enable_kernel = on").unwrap();
-    db.query("set enable_columnar = off").unwrap();
-    let fused_row_us = time_us(warmup, iters, || {
-        db.query_bound(Q1ISH, &params).unwrap();
-    });
-
-    // -- arm 3: columnar (fusion on, columnar on — the default) ------------
+    // -- arm 2: columnar (the default) -------------------------------------
     db.query("set enable_columnar = on").unwrap();
     let columnar_us = time_us(warmup, iters, || {
         db.query_bound(Q1ISH, &params).unwrap();
     });
 
     let columnar_speedup = row_us / columnar_us;
-    let vectorization_speedup = fused_row_us / columnar_us;
     println!(
         "bench columnar_pipeline: row-pipeline {row_us:.1} µs/exec, \
-         fused-row {fused_row_us:.1} µs/exec, columnar {columnar_us:.1} µs/exec \
-         on {cores} core(s)"
+         columnar {columnar_us:.1} µs/exec on {cores} core(s)"
     );
-    println!(
-        "bench columnar_pipeline: columnar vs row pipeline {columnar_speedup:.2}x, \
-         vectorization vs fused-row {vectorization_speedup:.2}x"
-    );
+    println!("bench columnar_pipeline: columnar vs row pipeline {columnar_speedup:.2}x");
 
     // -- report ------------------------------------------------------------
     let json = format!(
         "{{\n  \"cores\": {cores},\n  \
          \"row_pipeline_us_per_exec\": {row_us:.2},\n  \
-         \"fused_row_us_per_exec\": {fused_row_us:.2},\n  \
          \"columnar_us_per_exec\": {columnar_us:.2},\n  \
-         \"columnar_speedup_vs_row_pipeline\": {columnar_speedup:.3},\n  \
-         \"columnar_speedup_vs_fused_row\": {vectorization_speedup:.3}\n}}\n"
+         \"columnar_speedup_vs_row_pipeline\": {columnar_speedup:.3}\n}}\n"
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

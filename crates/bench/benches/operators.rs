@@ -1,19 +1,18 @@
 //! Operator-pipeline micro-arms: what the unified physical pipeline costs
-//! and what the fusion rewrite buys on its supported shape.
+//! against the seed interpreter's profile.
 //!
-//! Three arms over the same Q1-style scan→filter→aggregate statement on
-//! one node:
+//! Two arms over the same Q1-style scan→filter→aggregate statement on one
+//! node, both serial (`parallel_workers = 1`):
 //!
 //! * `interpreter_seed` — the seed's text path: every execution re-lexes,
-//!   re-parses, and re-lowers before running the general operator tree
-//!   (fusion off, `enable_batch_exec` off). This is the historical
-//!   row-at-a-time interpreter's cost profile, preserved verbatim behind
-//!   the knob.
+//!   re-parses, and re-lowers before running the operator tree with
+//!   `enable_batch_exec` off. This is the historical row-at-a-time
+//!   interpreter's cost profile, preserved verbatim behind the knob.
 //! * `unified_pipeline` — the same statement prepared once and executed
-//!   through the cached general operator tree (fusion off,
-//!   `enable_batch_exec` on): the compiled batch-at-a-time pipeline alone.
-//! * `fused_rule` — the cached plan with `enable_kernel` on, so lowering
-//!   applied the scan→filter→aggregate fusion rewrite.
+//!   through the cached plan with `enable_batch_exec` on and
+//!   `enable_columnar` off: the aggregate's compiled scalar fold over its
+//!   own morsel scan, without the columnar fold (timed by `columnar.rs`)
+//!   or morsel workers (timed by `parallel.rs`).
 //!
 //! Runs as a plain binary (`harness = false`), prints one line per arm,
 //! and writes `BENCH_operators.json` at the workspace root for CI's
@@ -86,47 +85,37 @@ fn main() {
         .unwrap_or(1);
 
     let db = lineitem();
+    db.query("set parallel_workers = 1").unwrap();
 
-    // -- arm 1: interpreter_seed (text, fusion off, legacy row-at-a-time
-    //    execution — the seed's cost profile) -------------------------------
-    db.query("set enable_kernel = off").unwrap();
+    // -- arm 1: interpreter_seed (text, legacy row-at-a-time execution —
+    //    the seed's cost profile) ------------------------------------------
     db.query("set enable_batch_exec = off").unwrap();
     let interpreter_us = time_us(warmup, scan_iters, |_| {
         db.query(&text).unwrap();
     });
 
-    // -- arm 2: unified_pipeline (bound, fusion off, compiled batch exec) --
+    // -- arm 2: unified_pipeline (bound, compiled batch exec, scalar
+    //    fold) ---------------------------------------------------------------
     db.query("set enable_batch_exec = on").unwrap();
+    db.query("set enable_columnar = off").unwrap();
     db.prepare(Q1ISH).unwrap();
     let pipeline_us = time_us(warmup, scan_iters, |_| {
         db.query_bound(Q1ISH, &params).unwrap();
     });
 
-    // -- arm 3: fused_rule (bound, fusion rewrite applied) -----------------
-    db.query("set enable_kernel = on").unwrap();
-    let fused_us = time_us(warmup, scan_iters, |_| {
-        db.query_bound(Q1ISH, &params).unwrap();
-    });
-
     let pipeline_speedup = interpreter_us / pipeline_us;
-    let fused_speedup = pipeline_us / fused_us;
     println!(
         "bench operator_pipeline: interpreter-seed {interpreter_us:.1} µs/exec, \
-         unified-pipeline {pipeline_us:.1} µs/exec, fused-rule {fused_us:.1} µs/exec"
+         unified-pipeline {pipeline_us:.1} µs/exec on {cores} core(s)"
     );
-    println!(
-        "bench operator_pipeline: pipeline vs seed {pipeline_speedup:.2}x, \
-         fusion rewrite vs pipeline {fused_speedup:.2}x"
-    );
+    println!("bench operator_pipeline: pipeline vs seed {pipeline_speedup:.2}x");
 
     // -- report ------------------------------------------------------------
     let json = format!(
         "{{\n  \"cores\": {cores},\n  \
          \"interpreter_seed_us_per_exec\": {interpreter_us:.2},\n  \
          \"unified_pipeline_us_per_exec\": {pipeline_us:.2},\n  \
-         \"fused_rule_us_per_exec\": {fused_us:.2},\n  \
-         \"pipeline_speedup_vs_seed\": {pipeline_speedup:.3},\n  \
-         \"fused_speedup_vs_pipeline\": {fused_speedup:.3}\n}}\n"
+         \"pipeline_speedup_vs_seed\": {pipeline_speedup:.3}\n}}\n"
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

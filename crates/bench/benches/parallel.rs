@@ -5,11 +5,13 @@
 //! timed serial (`parallel_workers = 1`) and parallel (`parallel_workers =
 //! max(2, cores)`):
 //!
-//! * `fused` — the Q1-style scan→filter→aggregate statement on the fusion
-//!   kernel's fast path; parallel mode runs one partial-aggregate pipeline
-//!   per morsel and merges per-morsel group tables.
-//! * `scan` — a selective filter + sort; parallel mode splits the scan
-//!   into page-aligned morsels and chunk-sorts on the worker pool.
+//! * `aggregate` — the Q1-style scan→filter→aggregate statement, which
+//!   the aggregate drives itself; parallel mode folds each page-aligned
+//!   morsel into a partial group table on the worker pool and merges the
+//!   partials in morsel order.
+//! * `scan` — a selective filter + sort; the scan stays serial (only
+//!   aggregates fold morsels on the pool) and parallel mode chunk-sorts on
+//!   the worker pool.
 //!
 //! Runs as a plain binary (`harness = false`), prints one line per arm,
 //! and writes `BENCH_parallel.json` at the workspace root for CI's
@@ -24,7 +26,7 @@ use apuama_sql::Value;
 
 const ROWS: i64 = 20_000;
 
-const FUSED: &str = "select l_returnflag, sum(l_quantity) as s, avg(l_extendedprice) as a, \
+const AGG: &str = "select l_returnflag, sum(l_quantity) as s, avg(l_extendedprice) as a, \
      count(*) as n from lineitem where l_orderkey >= $1 and l_orderkey < $2 \
      and l_quantity > $3 group by l_returnflag order by l_returnflag";
 
@@ -80,37 +82,36 @@ fn main() {
     let workers = cores.max(2);
 
     let db = lineitem();
-    db.query("set enable_kernel = on").unwrap();
-    let fused_params = [Value::Int(0), Value::Int(ROWS), Value::Int(5)];
+    let agg_params = [Value::Int(0), Value::Int(ROWS), Value::Int(5)];
     let scan_params = [Value::Int(40)];
-    db.prepare(FUSED).unwrap();
+    db.prepare(AGG).unwrap();
     db.prepare(SCAN).unwrap();
 
     // Sanity first: both modes must answer identically before either is
     // worth timing (quantities and 1.25-step prices are exact in f64).
     db.query("set parallel_workers = 1").unwrap();
-    let want_fused = db.query_bound(FUSED, &fused_params).unwrap();
+    let want_agg = db.query_bound(AGG, &agg_params).unwrap();
     let want_scan = db.query_bound(SCAN, &scan_params).unwrap();
     db.query(&format!("set parallel_workers = {workers}"))
         .unwrap();
     assert_eq!(
-        db.query_bound(FUSED, &fused_params).unwrap().rows,
-        want_fused.rows
+        db.query_bound(AGG, &agg_params).unwrap().rows,
+        want_agg.rows
     );
     assert_eq!(
         db.query_bound(SCAN, &scan_params).unwrap().rows,
         want_scan.rows
     );
 
-    // -- fused aggregate arm ----------------------------------------------
+    // -- aggregate arm -----------------------------------------------------
     db.query("set parallel_workers = 1").unwrap();
-    let fused_serial_us = time_us(warmup, iters, || {
-        db.query_bound(FUSED, &fused_params).unwrap();
+    let agg_serial_us = time_us(warmup, iters, || {
+        db.query_bound(AGG, &agg_params).unwrap();
     });
     db.query(&format!("set parallel_workers = {workers}"))
         .unwrap();
-    let fused_parallel_us = time_us(warmup, iters, || {
-        db.query_bound(FUSED, &fused_params).unwrap();
+    let agg_parallel_us = time_us(warmup, iters, || {
+        db.query_bound(AGG, &agg_params).unwrap();
     });
 
     // -- scan + sort arm ---------------------------------------------------
@@ -124,11 +125,11 @@ fn main() {
         db.query_bound(SCAN, &scan_params).unwrap();
     });
 
-    let speedup = fused_serial_us / fused_parallel_us;
+    let speedup = agg_serial_us / agg_parallel_us;
     let scan_speedup = scan_serial_us / scan_parallel_us;
     println!(
-        "bench parallel_pipeline: fused serial {fused_serial_us:.1} µs/exec, \
-         parallel ×{workers} {fused_parallel_us:.1} µs/exec ({speedup:.2}x) on {cores} core(s)"
+        "bench parallel_pipeline: aggregate serial {agg_serial_us:.1} µs/exec, \
+         parallel ×{workers} {agg_parallel_us:.1} µs/exec ({speedup:.2}x) on {cores} core(s)"
     );
     println!(
         "bench parallel_pipeline: scan serial {scan_serial_us:.1} µs/exec, \
@@ -139,8 +140,8 @@ fn main() {
     let json = format!(
         "{{\n  \"cores\": {cores},\n  \
          \"workers\": {workers},\n  \
-         \"serial_us_per_exec\": {fused_serial_us:.2},\n  \
-         \"parallel_us_per_exec\": {fused_parallel_us:.2},\n  \
+         \"serial_us_per_exec\": {agg_serial_us:.2},\n  \
+         \"parallel_us_per_exec\": {agg_parallel_us:.2},\n  \
          \"parallel_speedup_vs_serial\": {speedup:.3},\n  \
          \"scan_serial_us_per_exec\": {scan_serial_us:.2},\n  \
          \"scan_parallel_us_per_exec\": {scan_parallel_us:.2},\n  \

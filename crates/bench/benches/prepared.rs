@@ -1,13 +1,10 @@
-//! Prepared-plan micro-arms: what the plan cache and the fused kernel buy.
+//! Prepared-plan micro-arm: what the plan cache buys.
 //!
-//! Two arms, each a direct A/B on one node:
-//!
-//! * `prepared_vs_text` — the SVP dispatcher's eval-query shape (narrow
-//!   range slice of a Q1-style aggregate) executed by re-sending rendered
-//!   text versus prepare-once + bind-per-execution. Text pays lex, parse,
-//!   and planning on every execution; the bound path pays them once.
-//! * `kernel_vs_interpreted` — the same bound statement over the whole
-//!   table with the fused scan→filter→aggregate kernel on versus off.
+//! `prepared_vs_text` — the SVP dispatcher's eval-query shape (narrow
+//! range slice of a Q1-style aggregate) executed on one node by
+//! re-sending rendered text versus prepare-once + bind-per-execution.
+//! Text pays lex, parse, and planning on every execution; the bound path
+//! pays them once.
 //!
 //! Runs as a plain binary (`harness = false`), prints one line per arm,
 //! and writes `BENCH_prepared.json` at the workspace root for CI's
@@ -94,23 +91,6 @@ fn main() {
          prepared {prepared_us:.1} µs/exec, speedup {prepared_speedup:.2}x"
     );
 
-    // -- arm 2: kernel_vs_interpreted -------------------------------------
-    let db = lineitem();
-    let scan_iters = (iters / 8).max(10);
-    let params = [Value::Int(0), Value::Int(ROWS)];
-    let kernel_us = time_us(scan_iters / 10, scan_iters, |_| {
-        db.query_bound(Q1ISH, &params).unwrap();
-    });
-    db.query("set enable_kernel = off").unwrap();
-    let interpreted_us = time_us(scan_iters / 10, scan_iters, |_| {
-        db.query_bound(Q1ISH, &params).unwrap();
-    });
-    let kernel_speedup = interpreted_us / kernel_us;
-    println!(
-        "bench kernel_vs_interpreted: interpreted {interpreted_us:.1} µs/exec, \
-         kernel {kernel_us:.1} µs/exec, speedup {kernel_speedup:.2}x"
-    );
-
     // -- report ------------------------------------------------------------
     // Recorded so CI's perf gates can tell a timing regression from
     // single-core scheduling noise and skip (with a reason) accordingly.
@@ -121,10 +101,7 @@ fn main() {
         "{{\n  \"cores\": {cores},\n  \
          \"text_us_per_exec\": {text_us:.2},\n  \
          \"prepared_us_per_exec\": {prepared_us:.2},\n  \
-         \"prepared_speedup\": {prepared_speedup:.3},\n  \
-         \"interpreted_us_per_exec\": {interpreted_us:.2},\n  \
-         \"kernel_us_per_exec\": {kernel_us:.2},\n  \
-         \"kernel_speedup\": {kernel_speedup:.3}\n}}\n"
+         \"prepared_speedup\": {prepared_speedup:.3}\n}}\n"
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

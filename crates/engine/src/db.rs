@@ -27,7 +27,6 @@ use crate::exec::{self, ExecContext};
 use crate::governor::{MemoryGauge, QueryGovernor};
 use crate::physical;
 use crate::plan_cache::{self, CachedPlan, PlanCache, PlanCacheStats};
-use crate::planner;
 use crate::stats::ExecStats;
 use crate::table::Table;
 
@@ -170,18 +169,13 @@ impl Database {
             .unwrap_or(true)
     }
 
-    /// Whether lowering may apply the fused scan→filter→aggregate plan
-    /// rewrite (`SET enable_kernel`, default on). The knob toggles a plan
-    /// rewrite, not a second executor; it exists so the benches and the
-    /// property suite can compare the fused and general shapes on the same
-    /// statements.
+    /// Always `true`: kept for callers that record the engine's knobs.
+    /// `SET enable_kernel` once chose between a fused scan→filter→aggregate
+    /// plan and the general tree; there is now one aggregation path, the
+    /// compiled fold is always available, and the setting is stored and
+    /// ignored like any unknown setting.
     pub fn kernel_enabled(&self) -> bool {
-        self.settings
-            .misc
-            .lock()
-            .get("enable_kernel")
-            .map(|v| !matches!(v.as_str(), "off" | "false" | "0" | "no"))
-            .unwrap_or(true)
+        true
     }
 
     /// Whether the general pipeline may use the batch-exec fast paths
@@ -201,7 +195,7 @@ impl Database {
             .unwrap_or(true)
     }
 
-    /// Whether the fused kernel may run its columnar fold
+    /// Whether the compiled aggregate fold may run its columnar form
     /// (`SET enable_columnar`, default on): referenced attributes are
     /// transposed into typed column vectors per batch and predicates /
     /// aggregates loop over them under a selection vector. Off keeps the
@@ -431,8 +425,7 @@ impl Database {
     /// `Ok(None)` means the statement parsed but is not a SELECT — those
     /// are never cached.
     fn plan_for(&self, sql: &str) -> EngineResult<Option<Arc<CachedPlan>>> {
-        let kernel_on = self.kernel_enabled();
-        let fp = plan_cache::fingerprint(sql, kernel_on, self.seqscan_enabled());
+        let fp = plan_cache::fingerprint(sql, self.seqscan_enabled());
         let version = self.catalog_version.load(Ordering::SeqCst);
         if let Some(plan) = self
             .plan_cache
@@ -446,7 +439,7 @@ impl Database {
             return Ok(None);
         };
         let n_params = visit::parameter_count(&q);
-        let physical = physical::lower(&q, self, kernel_on);
+        let physical = physical::lower(&q, self);
         let stats_token = visit::referenced_tables(&q)
             .iter()
             .map(|t| self.table_stats_entry(t))
@@ -472,7 +465,7 @@ impl Database {
 
     /// Executes a (usually prepared) statement with bound parameter
     /// values. SELECTs run from the plan cache — parsed and lowered once
-    /// per statement text (and per `enable_kernel` setting), not once per
+    /// per statement text (and per `enable_seqscan` setting), not once per
     /// execution. Results are byte-identical to rendering the literals
     /// into the text and calling [`Database::query`].
     pub fn query_bound(&self, sql: &str, params: &[Value]) -> EngineResult<QueryOutput> {
@@ -728,34 +721,13 @@ impl Database {
     ) -> EngineResult<Vec<RowId>> {
         let ctx = ExecContext::new(self);
         let conjuncts = split_conjuncts(selection);
-        let eval_const = |e: &Expr| -> Option<Value> {
-            let mut has_col = false;
-            apuama_sql::visit::shallow_walk(e, &mut |x| {
-                if matches!(x, Expr::Column(_)) {
-                    has_col = true;
-                }
-            });
-            if has_col {
-                None
-            } else {
-                eval_expr(e, &[], &ctx).ok()
-            }
-        };
-        let choice = planner::choose_access_path(
-            table,
-            &table.schema.name,
-            &conjuncts,
-            self.seqscan_enabled(),
-            self.indexscan_enabled(),
-            &eval_const,
-        );
-        let residual: Vec<Expr> = conjuncts
+        let scan = physical::plan_scan(&table.schema.name, None, &conjuncts, &ctx)?;
+        let residual: Vec<Expr> = scan
+            .residual
             .iter()
-            .enumerate()
-            .filter(|(ci, _)| !choice.consumed.contains(ci))
-            .map(|(_, c)| c.clone())
+            .map(|&i| conjuncts[i].clone())
             .collect();
-        let rids = exec::scan_rids(&ctx, table, &choice.path, &residual)?;
+        let rids = exec::scan_rids(&ctx, table, &scan.choice.path, &residual)?;
         stats.merge(&ctx.take_stats());
         Ok(rids)
     }
@@ -1259,7 +1231,7 @@ mod prepared_tests {
     }
 
     /// TPC-H Q1-shaped scan→filter→aggregate over a `$1 ≤ key < $2` range —
-    /// the SVP sub-query shape the kernel exists for.
+    /// the SVP sub-query shape the compiled aggregate fold is tuned for.
     const Q1ISH: &str = "select l_returnflag, sum(l_quantity) as s, avg(l_quantity) as a, \
          count(*) as n from lineitem where l_orderkey >= $1 and l_orderkey < $2 \
          group by l_returnflag order by l_returnflag";
@@ -1297,20 +1269,22 @@ mod prepared_tests {
         assert_eq!(bound.stats.buffer.accesses(), text.stats.buffer.accesses());
     }
 
+    /// The compiled aggregate fold and the seed interpreter's framed fold
+    /// (`enable_batch_exec = off`) agree exactly on the Q1-shaped range
+    /// aggregate.
     #[test]
     fn kernel_and_interpreted_agree_exactly() {
         let d = lineitem_db(3_000);
         let params = [Value::Int(10), Value::Int(2_900)];
-        assert!(d.kernel_enabled());
         let on = d.query_bound(Q1ISH, &params).unwrap();
-        d.query("set enable_kernel = off").unwrap();
-        assert!(!d.kernel_enabled());
+        d.query("set enable_batch_exec = off").unwrap();
         let off = d.query_bound(Q1ISH, &params).unwrap();
         assert_eq!(on.columns, off.columns);
         assert_eq!(on.rows, off.rows);
         assert_eq!(on.stats.rows_scanned, off.stats.rows_scanned);
         assert_eq!(on.stats.cpu_tuple_ops, off.stats.cpu_tuple_ops);
         assert_eq!(on.stats.index_probes, off.stats.index_probes);
+        assert_eq!(on.stats.scan_batches, off.stats.scan_batches);
         assert_eq!(on.stats.bytes_out, off.stats.bytes_out);
         assert_eq!(on.stats.buffer.accesses(), off.stats.buffer.accesses());
     }
@@ -1321,9 +1295,9 @@ mod prepared_tests {
         d.execute("create table seen (k int not null, primary key (k))")
             .unwrap();
         d.execute("insert into seen values (3), (4)").unwrap();
-        // Non-aggregated, DISTINCT, and subquery-bearing statements don't
-        // match the fusion rule; they lower to the general operator tree
-        // and agree with the text path.
+        // Non-aggregated, DISTINCT, and subquery-bearing statements
+        // stream through scan/filter/project operators (or feed the
+        // aggregate from a child) and agree with the text path.
         for (sql, args, text) in [
             (
                 "select l_orderkey from lineitem where l_orderkey = $1",
@@ -1348,31 +1322,7 @@ mod prepared_tests {
         }
     }
 
-    /// Toggling `enable_kernel` must never serve a plan compiled under the
-    /// other setting: the fingerprint keys on the knob, so each setting has
-    /// its own coexisting cache entry.
-    #[test]
-    fn kernel_toggle_never_reuses_the_other_settings_plan() {
-        let d = lineitem_db(500);
-        let params = [Value::Int(0), Value::Int(400)];
-        d.query_bound(Q1ISH, &params).unwrap();
-        d.query_bound(Q1ISH, &params).unwrap();
-        let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
-        // Flipping the knob compiles a fresh plan under the new setting...
-        d.query("set enable_kernel = off").unwrap();
-        d.query_bound(Q1ISH, &params).unwrap();
-        let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (2, 1), "{s:?}");
-        // ...and flipping back hits the original entry — both coexist.
-        d.query("set enable_kernel = on").unwrap();
-        d.query_bound(Q1ISH, &params).unwrap();
-        let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (2, 2), "{s:?}");
-        assert_eq!(s.invalidations + s.replans + s.evictions, 0);
-    }
-
-    /// Toggling `enable_seqscan` mid-session likewise gets its own cache
+    /// Toggling `enable_seqscan` mid-session gets its own cache
     /// entries — a plan compiled while seq scans were allowed is never
     /// served after the knob turns them off, and the two variants coexist.
     /// Results are identical either way (only the access path differs).
@@ -1468,10 +1418,10 @@ mod prepared_tests {
             Err(EngineError::TypeError(_))
         ));
         assert!(d
-            .query_bound("set enable_kernel = off", &[Value::Int(1)])
+            .query_bound("set enable_columnar = on", &[Value::Int(1)])
             .is_err());
         // SET without parameters flows through query_bound fine.
-        d.query_bound("set enable_kernel = off", &[]).unwrap();
+        d.query_bound("set enable_columnar = on", &[]).unwrap();
     }
 
     #[test]
@@ -1569,33 +1519,19 @@ mod explain_tests {
         assert!(plan.contains("limit 5"), "{plan}");
     }
 
-    /// The fused kernel is a lowering rewrite, so EXPLAIN shows it as a
-    /// fusion annotation on the aggregate — present exactly when the knob
-    /// is on and the shape matches the rule.
+    /// One aggregation path: a single-table aggregate renders as the same
+    /// aggregate-over-scan tree as any other, in either execution mode.
     #[test]
-    fn explain_marks_the_fusion_rewrite_only_when_enabled() {
+    fn explain_renders_one_aggregate_path() {
         let d = db();
         let sql = "explain select count(*) as n from lineitem \
                    where l_orderkey >= 10 and l_orderkey < 500";
-        let plan_on = plan_text(&d, sql);
-        assert!(
-            plan_on.contains("[fused scan→filter→aggregate]"),
-            "{plan_on}"
-        );
-        d.query("set enable_kernel = off").unwrap();
-        let plan_off = plan_text(&d, sql);
-        assert!(
-            !plan_off.contains("[fused scan→filter→aggregate]"),
-            "{plan_off}"
-        );
-        d.query("set enable_kernel = on").unwrap();
-        // Shapes outside the fusion rule never carry the marker.
-        let join = plan_text(
-            &d,
-            "explain select count(*) as n from orders, lineitem \
-             where l_orderkey = o_orderkey",
-        );
-        assert!(!join.contains("fused"), "{join}");
+        let plan = plan_text(&d, sql);
+        assert!(plan.contains("aggregate: global"), "{plan}");
+        assert!(plan.contains("scan lineitem"), "{plan}");
+        assert!(!plan.contains("fused"), "{plan}");
+        d.query("set enable_batch_exec = off").unwrap();
+        assert_eq!(plan_text(&d, sql), plan);
     }
 
     #[test]

@@ -213,7 +213,7 @@ fn eval_binary(
 }
 
 /// Binary-operator semantics parameterized over operand evaluation, so the
-/// interpreted evaluator and the fused kernel share one implementation
+/// interpreted evaluator and compiled programs share one implementation
 /// (including AND/OR short-circuiting, which is why operands arrive lazily).
 pub(crate) fn eval_binary_with(
     op: BinOp,
@@ -320,7 +320,7 @@ fn eval_scalar_function(
 
 /// Scalar-function semantics parameterized over argument evaluation (lazy,
 /// so `coalesce` keeps its short-circuit), shared by the interpreted
-/// evaluator and the fused kernel.
+/// evaluator and compiled programs.
 pub(crate) fn eval_scalar_function_with(
     name: &str,
     n_args: usize,

@@ -269,16 +269,16 @@ pub fn row_bytes(row: &Row) -> u64 {
 /// Executes a SELECT with the given outer frames (empty for top-level
 /// queries; populated for correlated subqueries and derived tables).
 ///
-/// Lowers the statement to its physical operator shape and drains the
+/// Lowers the statement to its physical plan and drains the operator
 /// tree. Subquery evaluation comes through here too, so nested SELECTs
-/// get the same pipeline (and the same fusion rule) as top-level ones.
+/// get the same pipeline as top-level ones.
 pub fn run_select(
     q: &Select,
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Relation> {
-    let shape = physical::lower_shape(q, ctx.db, ctx.db.kernel_enabled());
-    physical::execute_shape(q, &shape, outer, ctx)
+    let g = physical::lower_general(q, ctx.db);
+    physical::execute_select(q, &g, outer, ctx)
 }
 
 pub(crate) fn contains_subquery(e: &Expr) -> bool {
@@ -916,9 +916,8 @@ pub(crate) struct GroupState {
 /// group, HAVING, the select-list projection with aggregates substituted,
 /// and ORDER BY keys. `groups` arrives in first-seen order (the group keys
 /// themselves are not needed here: group-by expressions are re-evaluated
-/// against each group's representative row). Shared by the general
-/// aggregation operator and the fused pipeline (which supplies its own
-/// accumulation loop) so both shapes finish identically.
+/// against each group's representative row). Shared by the compiled and
+/// the framed aggregation folds, so both finish identically.
 pub(crate) fn project_groups(
     q: &Select,
     input_bindings: &[Binding],

@@ -1,4 +1,4 @@
-//! Columnar batches, selection vectors, and the vectorized fused fold.
+//! Columnar batches, selection vectors, and the vectorized aggregate fold.
 //!
 //! This module is the engine half of the columnar substrate (the typed
 //! [`Column`]/[`ColumnVec`] representation itself lives in the storage
@@ -9,9 +9,9 @@
 //!   columns a plan actually touches are extracted);
 //! * [`Sel`] — a selection vector of surviving row indices, so predicate
 //!   evaluation marks rows instead of compacting the batch;
-//! * [`ColumnarFused`] — the vectorized scan→filter→aggregate fold the
-//!   fused kernel (serial and morsel-parallel) runs when the plan shape
-//!   allows it.
+//! * [`ColumnarFold`] — the vectorized filter→aggregate fold the compiled
+//!   [`AggFold`] runs (per batch or per morsel, serial or on the worker
+//!   pool) when every predicate, key, and argument is positional.
 //!
 //! # Byte-identity argument
 //!
@@ -39,12 +39,12 @@
 //!   column and short-circuit to `false` without error in both modes).
 //!   The two shapes where comparability is *not* uniform per column —
 //!   mixed-type columns (extracted as [`ColumnVec::Val`]) and `Float`
-//!   columns containing NaN — make [`ColumnarFused::fold`] decline the
+//!   columns containing NaN — make [`ColumnarFold::fold`] decline the
 //!   batch, and the caller re-runs it through the scalar loop.
 //!   Aggregate-update errors are raised row-major over survivors in spec
 //!   order, exactly like the scalar loop.
 //! * **Grouping.** Group probing is not vectorized at all: survivors go
-//!   through the *same* [`FusedGroups::find_or_insert`] call as the
+//!   through the *same* [`GroupTable::find_or_insert`] call as the
 //!   scalar loop, reading key cells straight out of the original rows —
 //!   identical by construction, and allocation-free on the probe path
 //!   (extracting a string key column and re-materializing it per survivor
@@ -104,12 +104,12 @@ impl ColumnBatch {
     }
 }
 
-/// The vectorized fused fold, resolved once per execution. Construction
-/// succeeds only for the fully positional plan shape: every residual
+/// The vectorized aggregate fold, resolved once per execution.
+/// Construction succeeds only for the fully positional shape: every residual
 /// predicate is a [`ResidualPred::FastCmp`], every group key a
-/// [`KeyProg::Col`], every aggregate argument [`FusedArg::None`] or
-/// [`FusedArg::Col`]. Anything else keeps the scalar loop.
-pub(crate) struct ColumnarFused {
+/// [`KeyProg::Col`], every aggregate argument [`AggArg::None`] or
+/// [`AggArg::Col`]. Anything else keeps the scalar loop.
+pub(crate) struct ColumnarFold {
     /// Column index per predicate, parallel to the resolved pred list.
     pred_cols: Vec<usize>,
     /// Positional key programs (all `KeyProg::Col`), fed to the scalar
@@ -123,13 +123,13 @@ pub(crate) struct ColumnarFused {
     width: usize,
 }
 
-impl ColumnarFused {
+impl ColumnarFold {
     pub(crate) fn try_new(
         preds: &[ResidualPred],
         keys: &[KeyProg],
-        args: &[FusedArg],
+        args: &[AggArg],
         width: usize,
-    ) -> Option<ColumnarFused> {
+    ) -> Option<ColumnarFold> {
         let mut pred_cols = Vec::with_capacity(preds.len());
         for p in preds {
             match p {
@@ -147,9 +147,9 @@ impl ColumnarFused {
         let mut agg_cols = Vec::with_capacity(args.len());
         for a in args {
             match a {
-                FusedArg::None => agg_cols.push(None),
-                FusedArg::Col(c) => agg_cols.push(Some(*c)),
-                FusedArg::Expr(_) => return None,
+                AggArg::None => agg_cols.push(None),
+                AggArg::Col(c) => agg_cols.push(Some(*c)),
+                AggArg::Expr(_) => return None,
             }
         }
         let mut wanted: Vec<usize> = pred_cols
@@ -159,7 +159,7 @@ impl ColumnarFused {
             .collect();
         wanted.sort_unstable();
         wanted.dedup();
-        Some(ColumnarFused {
+        Some(ColumnarFold {
             pred_cols,
             key_progs,
             agg_cols,
@@ -179,7 +179,7 @@ impl ColumnarFused {
         batch: &[&Row],
         preds: &[ResidualPred],
         specs: &[AggSpec],
-        groups: &mut FusedGroups,
+        groups: &mut GroupTable,
     ) -> EngineResult<Option<u64>> {
         let cb = ColumnBatch::extract(batch, &self.wanted, self.width);
         for &pc in &self.pred_cols {

@@ -290,7 +290,7 @@ pub(crate) fn keep_row(
 /// restricted to columns the heap keeps zone maps for. Extraction is
 /// independent of the execution mode — it recompiles from the raw
 /// expressions with bound parameters folded in — so every scan path
-/// (legacy, batch-exec, fused kernel, DML) prunes the same pages and the
+/// (legacy, batch-exec, aggregate-driven morsels, DML) prunes the same pages and the
 /// cross-mode counter identity holds.
 pub(crate) fn zone_prune_preds(
     table: &Table,
@@ -426,26 +426,6 @@ pub(crate) fn compile_key_progs(
     Some(progs)
 }
 
-/// Prebound [`KeyProg`]s from already-compiled group-by programs (the
-/// fused plan carries those from lowering).
-pub(crate) fn key_progs_from_compiled(
-    exprs: &[CompiledExpr],
-    ctx: &ExecContext<'_>,
-) -> Vec<KeyProg> {
-    let mut slots = 0usize;
-    exprs
-        .iter()
-        .map(|c| match eval::prebind_params(c, ctx) {
-            CompiledExpr::Col(i) => KeyProg::Col(i),
-            other => {
-                let slot = slots;
-                slots += 1;
-                KeyProg::Expr { expr: other, slot }
-            }
-        })
-        .collect()
-}
-
 /// Evaluates the expression-valued key components into `scratch` (cleared
 /// first); `Col` components are read straight from the row at lookup time.
 pub(crate) fn eval_key_scratch(
@@ -475,77 +455,9 @@ pub(crate) fn key_component<'a>(
     }
 }
 
-/// Hash-grouping table replacing `HashMap<Vec<HashableValue>, GroupState>`
-/// on the hot aggregation paths: groups are matched by *borrowed* key
-/// components (no per-row key `Vec` or `Value` clones — the key is cloned
-/// exactly once, when its group is first seen) and states come out in
-/// first-seen order, ready for [`exec::project_groups`]. Hashing uses the
-/// same canonicalization as [`HashableValue`] and equality is
-/// `sort_cmp == Equal` per component, so grouping is identical to the
-/// legacy map (NULLs form one group, `1` and `1.0` share a group).
-pub(crate) struct GroupTable {
-    /// Canonical hash → indices into `keys`/`states` (collision list).
-    index: HashMap<u64, Vec<u32>>,
-    keys: Vec<Vec<Value>>,
-    states: Vec<GroupState>,
-}
-
-impl GroupTable {
-    pub(crate) fn new() -> Self {
-        GroupTable {
-            index: HashMap::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
-        }
-    }
-
-    pub(crate) fn find_or_insert(
-        &mut self,
-        progs: &[KeyProg],
-        row: &[Value],
-        scratch: &[Value],
-        new_state: impl FnOnce() -> GroupState,
-    ) -> &mut GroupState {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for i in 0..progs.len() {
-            hash_value(key_component(progs, i, row, scratch), &mut hasher);
-        }
-        let h = hasher.finish();
-        if let Some(bucket) = self.index.get(&h) {
-            for &gi in bucket {
-                let stored = &self.keys[gi as usize];
-                if stored.iter().enumerate().all(|(i, s)| {
-                    s.sort_cmp(key_component(progs, i, row, scratch)) == Ordering::Equal
-                }) {
-                    return &mut self.states[gi as usize];
-                }
-            }
-        }
-        let gi = self.states.len() as u32;
-        self.index.entry(h).or_default().push(gi);
-        self.keys.push(
-            (0..progs.len())
-                .map(|i| key_component(progs, i, row, scratch).clone())
-                .collect(),
-        );
-        self.states.push(new_state());
-        self.states.last_mut().expect("just pushed")
-    }
-
-    /// The accumulated group states, in first-seen order.
-    pub(crate) fn into_states(self) -> Vec<GroupState> {
-        self.states
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.states.len()
-    }
-}
-
-/// FNV-1a, the fused kernel's bucketing hash. Only bucket placement
+/// FNV-1a, the group table's bucketing hash. Only bucket placement
 /// depends on the hash — grouping equality is `sort_cmp` and output order
-/// is first-seen — so the kernel is free to use a cheaper function than
-/// the general table's SipHash.
+/// is first-seen — so a cheap function is enough.
 pub(crate) struct FnvHasher(u64);
 
 impl FnvHasher {
@@ -566,20 +478,26 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// How many groups the fused kernel matches by linear scan before cutting
-/// over to a hashed index.
+/// How many groups the table matches by linear scan before cutting over
+/// to a hashed index.
 pub(crate) const LINEAR_GROUPS_MAX: usize = 16;
 
-/// The fused kernel's group table. Grouping semantics are identical to
-/// [`GroupTable`] (equality is `sort_cmp == Equal` per component, states
-/// come out in first-seen order), but the lookup is specialized for the
-/// kernel's profile: the scan→filter→aggregate shape the fusion rule
-/// accepts almost always has tiny group cardinality (TPC-H Q1 has four),
-/// where a couple of direct comparisons beat hashing the key on every row.
-/// The table runs hash-free until the group count outgrows
-/// [`LINEAR_GROUPS_MAX`], then builds an FNV index once and probes it from
-/// there on.
-pub(crate) struct FusedGroups {
+/// The compiled aggregation fold's group table: groups are matched by
+/// *borrowed* key components (no per-row key `Vec` or `Value` clones — a
+/// key is cloned exactly once, when its group is first seen) and states
+/// come out in first-seen order, ready for [`exec::project_groups`].
+/// Equality is `sort_cmp == Equal` per component and [`hash_value`]
+/// canonicalizes numerics, so grouping is identical to the framed fold's
+/// `HashMap<Vec<HashableValue>, _>` (NULLs form one group, `1` and `1.0`
+/// share a group).
+///
+/// The lookup is specialized for the SVP sub-query profile: the
+/// scan→filter→aggregate shapes a node runs almost always have tiny group
+/// cardinality (TPC-H Q1 has four), where a couple of direct comparisons
+/// beat hashing the key on every row. The table runs hash-free until the
+/// group count outgrows [`LINEAR_GROUPS_MAX`], then builds an FNV index
+/// once and probes it from there on.
+pub(crate) struct GroupTable {
     keys: Vec<Vec<Value>>,
     states: Vec<GroupState>,
     /// FNV hash → group indices (collision list); `None` in the linear
@@ -587,41 +505,21 @@ pub(crate) struct FusedGroups {
     index: Option<HashMap<u64, Vec<u32>>>,
 }
 
-impl FusedGroups {
+impl GroupTable {
     pub(crate) fn new() -> Self {
-        FusedGroups {
+        GroupTable {
             keys: Vec::new(),
             states: Vec::new(),
             index: None,
         }
     }
 
-    pub(crate) fn probe_hash(progs: &[KeyProg], row: &[Value], scratch: &[Value]) -> u64 {
-        let mut hasher = FnvHasher::new();
-        for i in 0..progs.len() {
-            hash_value(key_component(progs, i, row, scratch), &mut hasher);
-        }
-        hasher.finish()
-    }
-
-    pub(crate) fn stored_hash(key: &[Value]) -> u64 {
+    fn stored_hash(key: &[Value]) -> u64 {
         let mut hasher = FnvHasher::new();
         for v in key {
             hash_value(v, &mut hasher);
         }
         hasher.finish()
-    }
-
-    pub(crate) fn matches(
-        stored: &[Value],
-        progs: &[KeyProg],
-        row: &[Value],
-        scratch: &[Value],
-    ) -> bool {
-        stored
-            .iter()
-            .enumerate()
-            .all(|(i, s)| s.sort_cmp(key_component(progs, i, row, scratch)) == Ordering::Equal)
     }
 
     pub(crate) fn find_or_insert(
@@ -631,34 +529,42 @@ impl FusedGroups {
         scratch: &[Value],
         new_state: impl FnOnce() -> GroupState,
     ) -> &mut GroupState {
-        self.find_or_insert_with(
-            || Self::probe_hash(progs, row, scratch),
-            |stored| Self::matches(stored, progs, row, scratch),
+        let gi = self.find(
             || {
-                // Load-bearing clone: a new group's key is materialized
-                // once; probes compare against row/scratch without cloning.
+                let mut hasher = FnvHasher::new();
+                for i in 0..progs.len() {
+                    hash_value(key_component(progs, i, row, scratch), &mut hasher);
+                }
+                hasher.finish()
+            },
+            |stored| {
+                stored.iter().enumerate().all(|(i, s)| {
+                    s.sort_cmp(key_component(progs, i, row, scratch)) == Ordering::Equal
+                })
+            },
+        );
+        let gi = match gi {
+            Some(gi) => gi,
+            // Load-bearing clone: a new group's key is materialized once;
+            // probes compare against row/scratch without cloning.
+            None => self.push(
                 (0..progs.len())
                     .map(|i| key_component(progs, i, row, scratch).clone())
-                    .collect()
-            },
-            new_state,
-        )
+                    .collect(),
+                new_state(),
+            ),
+        };
+        &mut self.states[gi]
     }
 
-    /// Generalized probe: the caller supplies how to hash, match, and
-    /// materialize the probe key, so the columnar fold can probe with
-    /// column cells without boxing them first. `probe_hash` is only called
-    /// in the indexed regime (the linear regime never hashes) and
-    /// `make_key` only when the group is first seen — the same cost
-    /// profile as the row-based probe above, which delegates here.
-    pub(crate) fn find_or_insert_with(
-        &mut self,
+    /// The group matching a probe key: a linear `matches` scan before the
+    /// cut-over (which never hashes), an index probe after it.
+    fn find(
+        &self,
         probe_hash: impl FnOnce() -> u64,
         matches: impl Fn(&[Value]) -> bool,
-        make_key: impl FnOnce() -> Vec<Value>,
-        new_state: impl FnOnce() -> GroupState,
-    ) -> &mut GroupState {
-        let gi = match &self.index {
+    ) -> Option<usize> {
+        match &self.index {
             None => self.keys.iter().position(|stored| matches(stored)),
             Some(index) => index.get(&probe_hash()).and_then(|bucket| {
                 bucket
@@ -666,18 +572,19 @@ impl FusedGroups {
                     .map(|&gi| gi as usize)
                     .find(|&gi| matches(&self.keys[gi]))
             }),
-        };
-        if let Some(gi) = gi {
-            return &mut self.states[gi];
         }
-        let gi = self.states.len() as u32;
-        self.keys.push(make_key());
-        self.states.push(new_state());
+    }
+
+    /// Appends a new group, indexing it — or, on outgrowing the linear
+    /// regime, indexing every group seen so far, once.
+    fn push(&mut self, key: Vec<Value>, state: GroupState) -> usize {
+        let gi = self.states.len();
+        self.keys.push(key);
+        self.states.push(state);
         if let Some(index) = &mut self.index {
-            let h = Self::stored_hash(&self.keys[gi as usize]);
-            index.entry(h).or_default().push(gi);
+            let h = Self::stored_hash(&self.keys[gi]);
+            index.entry(h).or_default().push(gi as u32);
         } else if self.keys.len() > LINEAR_GROUPS_MAX {
-            // Cut over: index every group seen so far, once.
             let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
             for (i, key) in self.keys.iter().enumerate() {
                 index
@@ -687,7 +594,7 @@ impl FusedGroups {
             }
             self.index = Some(index);
         }
-        self.states.last_mut().expect("just pushed")
+        gi
     }
 
     /// The accumulated group states, in first-seen order.
@@ -704,30 +611,18 @@ impl FusedGroups {
     /// preserves global first-seen group order: a group's first occurrence
     /// lives in the earliest morsel containing it, so it is either already
     /// present (keeping its earlier representative row) or appended here
-    /// exactly when the serial scan would have created it. Lookup follows
-    /// the same regime as [`Self::find_or_insert`] — linear `sort_cmp`
-    /// matching until the cut-over, the FNV index after — and
-    /// [`hash_value`] normalizes numerics, so hash and linear probes agree
-    /// on which keys are equal.
-    pub(crate) fn merge(&mut self, other: FusedGroups) {
+    /// exactly when the serial scan would have created it.
+    pub(crate) fn merge(&mut self, other: GroupTable) {
         for (key, state) in other.keys.into_iter().zip(other.states) {
-            let gi = {
-                let matches_key = |stored: &[Value]| {
+            let gi = self.find(
+                || Self::stored_hash(&key),
+                |stored| {
                     stored
                         .iter()
                         .zip(&key)
                         .all(|(s, k)| s.sort_cmp(k) == Ordering::Equal)
-                };
-                match &self.index {
-                    None => self.keys.iter().position(|stored| matches_key(stored)),
-                    Some(index) => index.get(&Self::stored_hash(&key)).and_then(|bucket| {
-                        bucket
-                            .iter()
-                            .map(|&gi| gi as usize)
-                            .find(|&gi| matches_key(&self.keys[gi]))
-                    }),
-                }
-            };
+                },
+            );
             match gi {
                 Some(gi) => {
                     for (acc, o) in self.states[gi].accs.iter_mut().zip(state.accs) {
@@ -735,22 +630,7 @@ impl FusedGroups {
                     }
                 }
                 None => {
-                    let gi = self.states.len() as u32;
-                    self.keys.push(key);
-                    self.states.push(state);
-                    if let Some(index) = &mut self.index {
-                        let h = Self::stored_hash(&self.keys[gi as usize]);
-                        index.entry(h).or_default().push(gi);
-                    } else if self.keys.len() > LINEAR_GROUPS_MAX {
-                        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-                        for (i, key) in self.keys.iter().enumerate() {
-                            index
-                                .entry(Self::stored_hash(key))
-                                .or_default()
-                                .push(i as u32);
-                        }
-                        self.index = Some(index);
-                    }
+                    self.push(key, state);
                 }
             }
         }

@@ -4,10 +4,9 @@ use std::time::Instant;
 use apuama_sql::ast::{Expr, Select, SetQuantifier};
 use apuama_sql::Value;
 
-use crate::error::{EngineError, EngineResult};
-use crate::eval::eval_expr;
-use crate::exec::{self, Binding, ExecContext};
-use crate::planner::{self, AccessPath};
+use crate::error::EngineResult;
+use crate::exec::{Binding, ExecContext};
+use crate::planner::AccessPath;
 use crate::table::Table;
 
 use crate::physical::*;
@@ -50,6 +49,10 @@ impl Analyze {
             nanos: 0,
         });
         nodes.len() - 1
+    }
+
+    pub(crate) fn append_label(&self, idx: usize, suffix: &str) {
+        self.nodes.borrow_mut()[idx].label.push_str(suffix);
     }
 
     pub(crate) fn add_child(&self, parent: usize, child: usize) {
@@ -102,11 +105,11 @@ impl<'e> Operator<'e> for TimedExec<'e> {
 /// so the per-operator `self_ms` values sum to at most (roughly) the
 /// footer time.
 pub(crate) fn explain_analyze(q: &Select, ctx: &ExecContext<'_>) -> EngineResult<Vec<String>> {
-    let shape = lower_shape(q, ctx.db, ctx.db.kernel_enabled());
+    let g = lower_general(q, ctx.db);
     let az = Analyze::new();
     let total = Instant::now();
     {
-        let (mut root, _) = build_tree(q, &shape, &[], ctx, Some(&az));
+        let (mut root, _) = build_tree(q, &g, &[], ctx, Some(&az));
         root.open()?;
         while root.next_batch()?.is_some() {}
     }
@@ -160,29 +163,25 @@ pub(crate) fn wrap(line: String, child: Lines) -> Lines {
 
 /// Renders the physical operator tree for a SELECT without executing it:
 /// one output row per operator, children indented under their parent, each
-/// with its estimated row count, and the fusion rule marked where applied.
+/// with its estimated row count.
 ///
 /// Access paths are the planner's real choices; the join order shown is
 /// the *estimated* order (execution refines it with actual cardinalities,
 /// so an `(estimated)` marker is included).
 pub(crate) fn explain(q: &Select, ctx: &ExecContext<'_>) -> EngineResult<Vec<String>> {
-    let shape = lower_shape(q, ctx.db, ctx.db.kernel_enabled());
-    let (lines, _) = explain_shape(q, &shape, ctx)?;
+    let (lines, _) = explain_select(q, &lower_general(q, ctx.db), ctx)?;
     Ok(lines
         .into_iter()
         .map(|(d, l)| format!("{}{}", "  ".repeat(d), l))
         .collect())
 }
 
-pub(crate) fn explain_shape(
+pub(crate) fn explain_select(
     q: &Select,
-    shape: &Shape,
+    g: &GeneralPlan,
     ctx: &ExecContext<'_>,
 ) -> EngineResult<(Lines, f64)> {
-    let (mut block, mut est) = match shape {
-        Shape::Fused(f) => explain_fused(q, f, ctx)?,
-        Shape::General(g) => explain_general(q, g, ctx)?,
-    };
+    let (mut block, mut est) = explain_general(q, g, ctx)?;
     if q.quantifier == SetQuantifier::Distinct {
         block = wrap(format!("distinct, ~{est:.0} rows"), block);
     }
@@ -231,25 +230,7 @@ pub(crate) fn scan_line(
     single: &[Expr],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<(String, f64)> {
-    let table = ctx
-        .db
-        .table(name)
-        .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-    let eval_const = |e: &Expr| -> Option<Value> {
-        if exec::expr_has_columns(e) {
-            None
-        } else {
-            eval_expr(e, &[], ctx).ok()
-        }
-    };
-    let choice = planner::choose_access_path(
-        table,
-        binding_name,
-        single,
-        ctx.db.seqscan_enabled(),
-        ctx.db.indexscan_enabled(),
-        &eval_const,
-    );
+    let ScanPlan { table, choice, .. } = plan_scan(name, Some(binding_name), single, ctx)?;
     let alias_note = if binding_name != name {
         format!(" as {binding_name}")
     } else {
@@ -283,7 +264,7 @@ pub(crate) fn explain_general(
                 estimates.push(est);
             }
             InputNode::Derived { alias, plan, .. } => {
-                let (sub, _) = explain_shape(&plan.select, &plan.shape, ctx)?;
+                let (sub, _) = explain_select(&plan.select, &plan.general, ctx)?;
                 input_blocks.push(Some(wrap(
                     format!("derived table {alias}: subquery materialization"),
                     sub,
@@ -381,38 +362,4 @@ pub(crate) fn explain_general(
         );
     }
     Ok((block, est))
-}
-
-pub(crate) fn explain_fused(
-    q: &Select,
-    f: &FusedPlan,
-    ctx: &ExecContext<'_>,
-) -> EngineResult<(Lines, f64)> {
-    let (line, scan_est) = scan_line(&f.table, &f.binding_name, &f.single, ctx)?;
-    let mut child = vec![(0, line)];
-    if !f.compiled_post.is_empty() {
-        child = wrap(
-            format!(
-                "post-filter: {} residual predicate(s)",
-                f.compiled_post.len()
-            ),
-            child,
-        );
-    }
-    let (agg_line, est) = if q.group_by.is_empty() {
-        (
-            "aggregate: global [fused scan→filter→aggregate], ~1 rows".to_string(),
-            1.0,
-        )
-    } else {
-        let groups: Vec<String> = q.group_by.iter().map(|g| g.to_string()).collect();
-        (
-            format!(
-                "aggregate: hash group by {} [fused scan→filter→aggregate], ~{scan_est:.0} rows",
-                groups.join(", ")
-            ),
-            scan_est,
-        )
-    };
-    Ok((wrap(agg_line, child), est))
 }

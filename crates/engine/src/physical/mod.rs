@@ -4,11 +4,12 @@
 //! operators (`SeqScan`/`IndexRangeScan`, `Filter`, `Project`, `HashJoin`,
 //! `HashAggregate`, `Sort`, `Limit`, `Distinct`) each implementing
 //! [`Operator::next_batch`] over [`RowBatch`]es of up to
-//! [`exec::SCAN_BATCH_ROWS`] rows. One executor serves every shape; the old
-//! fused aggregation kernel survives as the scan→filter→aggregate *fusion
-//! rule* applied during lowering ([`Shape::Fused`]), so `SET enable_kernel`
-//! toggles a plan rewrite, not a second executor, and there is no
-//! "unsupported shape" fallback left to take.
+//! [`exec::SCAN_BATCH_ROWS`] rows. One executor serves every shape, and
+//! one aggregation operator serves every aggregate: over a single base
+//! table whose conjuncts compile, [`AggregateExec`] drives the scan itself
+//! as morsel-local scan→filter→partial-aggregate folds (on the worker pool
+//! when `parallel_workers` allows), and every other aggregate folds its
+//! child's batches through the same compiled fold and group table.
 //!
 //! # Byte-identity with the seed interpreter
 //!
@@ -38,12 +39,12 @@
 //! scan error first. Which error wins can differ; successful results and
 //! their statistics never do.
 
-use apuama_sql::ast::{Expr, Select, SelectItem, SetQuantifier, TableRef};
+use apuama_sql::ast::{Expr, Select, SetQuantifier, TableRef};
 
 use crate::db::Database;
 use crate::error::EngineResult;
-use crate::eval::{self, CompiledExpr, Frame};
-use crate::exec::{self, AggSpec, Binding, ExecContext, Relation};
+use crate::eval::{self, Frame};
+use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::{self};
 
 mod batch;
@@ -63,21 +64,13 @@ pub(crate) use parallel_exec::*;
 // Plan
 // ---------------------------------------------------------------------------
 
-/// A lowered SELECT: the original statement plus the operator shape the
-/// planner chose for it. Cached plans store this tree; the access path of
-/// each scan is still chosen per execution from the actual bound values.
+/// A lowered SELECT: the original statement plus its operator plan.
+/// Cached plans store this tree; the access path of each scan is still
+/// chosen per execution from the actual bound values.
 #[derive(Debug, Clone)]
 pub(crate) struct PhysicalPlan {
     pub(crate) select: Select,
-    pub(crate) shape: Shape,
-}
-
-/// The two lowering outcomes: the fused scan→filter→aggregate pipeline
-/// (the old kernel, now a rewrite rule) or the general operator tree.
-#[derive(Debug, Clone)]
-pub(crate) enum Shape {
-    Fused(FusedPlan),
-    General(GeneralPlan),
+    pub(crate) general: GeneralPlan,
 }
 
 /// General shape: one node per FROM item, the equi-join edges between
@@ -115,53 +108,23 @@ impl InputNode {
     }
 }
 
-/// The fusion rule's compiled form: a single-table aggregation whose
-/// predicates, group-by keys, and aggregate arguments are pre-resolved to
-/// positional programs. Built once at lowering, reused across executions.
-#[derive(Debug, Clone)]
-pub(crate) struct FusedPlan {
-    table: String,
-    binding_name: String,
-    bindings: Vec<Binding>,
-    /// Single-table conjuncts in classification order — the planner input.
-    single: Vec<Expr>,
-    compiled_single: Vec<CompiledExpr>,
-    /// Conjuncts the general path would defer to post-filters (constant or
-    /// parameter-only predicates), applied after the single-table ones.
-    compiled_post: Vec<CompiledExpr>,
-    specs: Vec<AggSpec>,
-    /// Compiled aggregate arguments, aligned with `specs`; `None` for
-    /// `count(*)` and argument-less specs.
-    agg_args: Vec<Option<CompiledExpr>>,
-    group_by: Vec<CompiledExpr>,
-}
-
-/// Lowers a SELECT to its physical shape. Infallible by design: unknown
+/// Lowers a SELECT to its physical plan. Infallible by design: unknown
 /// tables and other execution-time errors surface when the tree is opened,
 /// exactly where the interpreter surfaced them.
-pub(crate) fn lower(q: &Select, db: &Database, kernel_on: bool) -> PhysicalPlan {
+pub(crate) fn lower(q: &Select, db: &Database) -> PhysicalPlan {
     PhysicalPlan {
         // Load-bearing clone: the plan owns its statement so prepared
         // statements can cache it past the parse.
         select: q.clone(),
-        shape: lower_shape(q, db, kernel_on),
+        general: lower_general(q, db),
     }
-}
-
-pub(crate) fn lower_shape(q: &Select, db: &Database, kernel_on: bool) -> Shape {
-    if kernel_on {
-        if let Some(f) = compile_fused(q, db) {
-            return Shape::Fused(f);
-        }
-    }
-    Shape::General(lower_general(q, db, kernel_on))
 }
 
 /// The general lowering: classify WHERE conjuncts against the FROM scopes
 /// (single-scope → pushed into that scan, equality across two scopes → a
 /// join edge, the rest → post-filters) and lower derived tables
 /// recursively.
-pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> GeneralPlan {
+pub(crate) fn lower_general(q: &Select, db: &Database) -> GeneralPlan {
     let catalog = db.catalog();
     let scopes = planner::scopes_for_from(&q.from, catalog);
 
@@ -201,7 +164,7 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
             },
             TableRef::Subquery { query, alias } => InputNode::Derived {
                 alias: alias.clone(),
-                plan: Box::new(lower(query, db, kernel_on)),
+                plan: Box::new(lower(query, db)),
                 single,
             },
         })
@@ -213,96 +176,6 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
         post,
         aggregated: !q.group_by.is_empty() || exec::select_has_aggregates(q),
     }
-}
-
-/// The fusion rule: a single-table aggregation with no subqueries anywhere
-/// and every expression compilable to a positional program collapses to
-/// [`Shape::Fused`]. `None` means the shape stays on the general tree.
-pub(crate) fn compile_fused(q: &Select, db: &Database) -> Option<FusedPlan> {
-    if q.quantifier != SetQuantifier::All {
-        return None;
-    }
-    let [TableRef::Table { name, alias }] = q.from.as_slice() else {
-        return None;
-    };
-    // Aggregated single-table shape only; plain scans stay general.
-    if q.group_by.is_empty() && !exec::select_has_aggregates(q) {
-        return None;
-    }
-    if q.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
-        return None;
-    }
-    // No subqueries anywhere (selection, items, having, order by, ...).
-    let mut has_subquery = false;
-    apuama_sql::visit::walk_select_exprs(q, &mut |e| {
-        if matches!(
-            e,
-            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_)
-        ) {
-            has_subquery = true;
-        }
-    });
-    if has_subquery {
-        return None;
-    }
-
-    let table = db.table(name)?;
-    let bindings = exec::bindings_for_table(&table.schema, alias.as_deref());
-    let binding_name = alias.clone().unwrap_or_else(|| name.clone());
-
-    // Classify WHERE conjuncts the way the general lowering does:
-    // table-bound ones feed the access-path choice, binding-free ones
-    // become post-filters.
-    let catalog = db.catalog();
-    let scopes = planner::scopes_for_from(&q.from, catalog);
-    let mut single: Vec<Expr> = Vec::new();
-    let mut post: Vec<Expr> = Vec::new();
-    for c in eval::split_conjuncts(q.selection.as_ref()) {
-        let refs = planner::conjunct_bindings(&c, &scopes, catalog);
-        if refs.len() == 1 && refs.contains(&scopes[0].name) {
-            single.push(c);
-        } else if refs.is_empty() {
-            post.push(c);
-        } else {
-            // A conjunct resolving outside the one scope means correlation
-            // or a planner corner the general tree should handle.
-            return None;
-        }
-    }
-
-    let compiled_single = single
-        .iter()
-        .map(|c| eval::compile_expr(c, &bindings))
-        .collect::<Option<Vec<_>>>()?;
-    let compiled_post = post
-        .iter()
-        .map(|c| eval::compile_expr(c, &bindings))
-        .collect::<Option<Vec<_>>>()?;
-    let group_by = q
-        .group_by
-        .iter()
-        .map(|g| eval::compile_expr(g, &bindings))
-        .collect::<Option<Vec<_>>>()?;
-    let specs = exec::collect_agg_specs(q);
-    let agg_args = specs
-        .iter()
-        .map(|s| match (&s.arg, s.star) {
-            (_, true) | (None, _) => Some(None),
-            (Some(a), false) => eval::compile_expr(a, &bindings).map(Some),
-        })
-        .collect::<Option<Vec<_>>>()?;
-
-    Some(FusedPlan {
-        table: name.clone(),
-        binding_name,
-        bindings,
-        single,
-        compiled_single,
-        compiled_post,
-        specs,
-        agg_args,
-        group_by,
-    })
 }
 
 /// The batch-at-a-time operator contract. `open` is called exactly once,
@@ -322,16 +195,16 @@ pub(crate) fn execute(
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Relation> {
-    execute_shape(&plan.select, &plan.shape, outer, ctx)
+    execute_select(&plan.select, &plan.general, outer, ctx)
 }
 
-pub(crate) fn execute_shape<'e>(
+pub(crate) fn execute_select<'e>(
     q: &'e Select,
-    shape: &'e Shape,
+    g: &'e GeneralPlan,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
 ) -> EngineResult<Relation> {
-    let (mut root, _) = build_tree(q, shape, outer, ctx, None);
+    let (mut root, _) = build_tree(q, g, outer, ctx, None);
     let bindings = root.open()?;
     let mut rows = Vec::new();
     while let Some(batch) = root.next_batch()? {
@@ -349,93 +222,61 @@ pub(crate) fn instrument<'e>(
     label: String,
     children: Vec<usize>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
-    match az {
-        None => (op, None),
-        Some(a) => {
-            let idx = a.register(label, children);
-            (
-                Box::new(TimedExec {
-                    inner: op,
-                    az: a,
-                    idx,
-                }),
-                Some(idx),
-            )
-        }
+    let idx = az.map(|a| a.register(label, children));
+    instrument_registered(az, op, idx)
+}
+
+/// Wraps an operator that registered its probe node itself (so it can
+/// attach child probes while it runs) in that node's timing probe.
+pub(crate) fn instrument_registered<'e>(
+    az: Option<&'e Analyze>,
+    op: Box<dyn Operator<'e> + 'e>,
+    idx: Option<usize>,
+) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
+    match (az, idx) {
+        (Some(az), Some(idx)) => (Box::new(TimedExec { inner: op, az, idx }), Some(idx)),
+        _ => (op, None),
     }
 }
 
-/// Assembles the operator tree for one shape: the source block (fused
-/// pipeline, streamed single scan, or materializing join), the projection
-/// or aggregation stage, then the uniform DISTINCT → Sort → Limit tail.
-/// With `az` set, every operator is wrapped in a [`TimedExec`] probe and
-/// the returned index identifies the root's probe node.
+/// Assembles the operator tree for one plan: the source block (streamed
+/// single scan or materializing join) under the projection or aggregation
+/// stage — or, for an aggregate over one base table whose conjuncts
+/// compile, the aggregate driving the scan itself — then the uniform
+/// DISTINCT → Sort → Limit tail. With `az` set, every operator is wrapped
+/// in a [`TimedExec`] probe and the returned index identifies the root's
+/// probe node.
 pub(crate) fn build_tree<'e>(
     q: &'e Select,
-    shape: &'e Shape,
+    g: &'e GeneralPlan,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     az: Option<&'e Analyze>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
     let batch = ctx.db.batch_exec_enabled();
-    let workers = ctx.db.parallel_workers();
-    let (mut op, mut idx) = match shape {
-        Shape::Fused(f) => {
-            // DISTINCT accumulators cannot be merged across partials and
-            // correlated frames cannot cross threads; both fall back to the
-            // serial fused kernel.
-            if workers >= 2 && outer.is_empty() && !f.specs.iter().any(|s| s.distinct) {
-                // Register up front (like the join block) so worker
-                // breakdowns can attach as children from run().
-                let pidx = az.map(|a| {
-                    a.register(
-                        format!(
-                            "fused aggregate over {} [parallel ×{workers}]",
-                            f.binding_name
-                        ),
-                        Vec::new(),
-                    )
-                });
-                let op: Box<dyn Operator<'e> + 'e> =
-                    Box::new(ParallelFusedExec::new(q, f, outer, ctx, workers, az, pidx));
-                match (az, pidx) {
-                    (Some(a), Some(idx)) => (
-                        Box::new(TimedExec {
-                            inner: op,
-                            az: a,
-                            idx,
-                        }) as Box<dyn Operator<'e> + 'e>,
-                        Some(idx),
-                    ),
-                    _ => (op, None),
-                }
-            } else {
-                instrument(
-                    az,
-                    Box::new(FusedExec::new(q, f, outer, ctx)),
-                    format!("fused aggregate over {}", f.binding_name),
-                    Vec::new(),
-                )
-            }
-        }
-        Shape::General(g) => {
-            let (source, sidx) = build_source(g, outer, ctx, batch, az);
-            let children: Vec<usize> = sidx.into_iter().collect();
-            if g.aggregated {
-                instrument(
-                    az,
-                    Box::new(AggregateExec::new(q, source, outer, ctx, batch)),
-                    "aggregate".to_string(),
-                    children,
-                )
-            } else {
-                instrument(
-                    az,
-                    Box::new(ProjectExec::new(q, source, outer, ctx, batch)),
-                    format!("project ({} column(s))", q.items.len()),
-                    children,
-                )
-            }
+    let table = if batch && g.aggregated {
+        TableInput::resolve(q, g, ctx)
+    } else {
+        None
+    };
+    let (mut op, mut idx) = if let Some(table) = table {
+        let idx = az.map(|a| a.register(table.label(), Vec::new()));
+        let probe = az.zip(idx);
+        let op = AggregateExec::new(q, AggInput::Table(table), outer, ctx, batch, probe);
+        instrument_registered(az, Box::new(op), idx)
+    } else {
+        let (source, sidx) = build_source(g, outer, ctx, batch, az);
+        let children: Vec<usize> = sidx.into_iter().collect();
+        if g.aggregated {
+            let op = AggregateExec::new(q, AggInput::Child(source), outer, ctx, batch, None);
+            instrument(az, Box::new(op), "aggregate".to_string(), children)
+        } else {
+            instrument(
+                az,
+                Box::new(ProjectExec::new(q, source, outer, ctx, batch)),
+                format!("project ({} column(s))", q.items.len()),
+                children,
+            )
         }
     };
     if q.quantifier == SetQuantifier::Distinct {
@@ -496,18 +337,7 @@ pub(crate) fn build_source<'e>(
         // The join registers its probe node up front so it can attach its
         // input probes as children when it materializes them in open().
         let jidx = az.map(|a| a.register("hash join block (greedy order)".to_string(), Vec::new()));
-        let op: Box<dyn Operator<'e> + 'e> = Box::new(JoinExec::new(g, outer, ctx, az, jidx));
-        match (az, jidx) {
-            (Some(a), Some(idx)) => (
-                Box::new(TimedExec {
-                    inner: op,
-                    az: a,
-                    idx,
-                }),
-                Some(idx),
-            ),
-            _ => (op, None),
-        }
+        instrument_registered(az, Box::new(JoinExec::new(g, outer, ctx, az, jidx)), jidx)
     }
 }
 
@@ -523,61 +353,22 @@ pub(crate) fn build_input<'e>(
             name,
             alias,
             single,
-        } => {
-            let workers = ctx.db.parallel_workers();
-            // Subquery predicates need the coordinator's evaluation
-            // context and correlated frames cannot cross threads; both
-            // keep the serial scan.
-            if workers >= 2
-                && outer.is_empty()
-                && single.iter().all(|e| !exec::contains_subquery(e))
-            {
-                let label = match alias {
-                    Some(a) => format!("scan {name} as {a} [parallel ×{workers}]"),
-                    None => format!("scan {name} [parallel ×{workers}]"),
-                };
-                let pidx = az.map(|a| a.register(label, Vec::new()));
-                let op: Box<dyn Operator<'e> + 'e> = Box::new(ParallelScanExec::new(
-                    name,
-                    alias.as_deref(),
-                    single,
-                    outer,
-                    ctx,
-                    batch,
-                    workers,
-                    az,
-                    pidx,
-                ));
-                match (az, pidx) {
-                    (Some(a), Some(idx)) => (
-                        Box::new(TimedExec {
-                            inner: op,
-                            az: a,
-                            idx,
-                        }) as Box<dyn Operator<'e> + 'e>,
-                        Some(idx),
-                    ),
-                    _ => (op, None),
-                }
-            } else {
-                instrument(
-                    az,
-                    Box::new(ScanExec::new(
-                        name,
-                        alias.as_deref(),
-                        single,
-                        outer,
-                        ctx,
-                        batch,
-                    )),
-                    match alias {
-                        Some(a) => format!("scan {name} as {a}"),
-                        None => format!("scan {name}"),
-                    },
-                    Vec::new(),
-                )
-            }
-        }
+        } => instrument(
+            az,
+            Box::new(ScanExec::new(
+                name,
+                alias.as_deref(),
+                single,
+                outer,
+                ctx,
+                batch,
+            )),
+            match alias {
+                Some(a) => format!("scan {name} as {a}"),
+                None => format!("scan {name}"),
+            },
+            Vec::new(),
+        ),
         InputNode::Derived {
             alias,
             plan,

@@ -1,11 +1,10 @@
 //! The physical operators: one file per pipeline stage. Scan feeds
-//! Filter/Join, Project and Aggregate shape the output, the fused kernel
-//! collapses the scan→filter→aggregate chain, and tail holds the
-//! always-breaker stages (Distinct, Sort, Limit).
+//! Filter/Join, Project and Aggregate shape the output (Aggregate also
+//! drives its own morsel scan over a single base table), and tail holds
+//! the always-breaker stages (Distinct, Sort, Limit).
 
 mod aggregate;
 mod filter;
-mod fused;
 mod join;
 mod project;
 mod scan;
@@ -13,7 +12,6 @@ mod tail;
 
 pub(crate) use aggregate::*;
 pub(crate) use filter::*;
-pub(crate) use fused::*;
 pub(crate) use join::*;
 pub(crate) use project::*;
 pub(crate) use scan::*;

@@ -31,17 +31,69 @@ pub(crate) struct ScanState<'e> {
     scanned: BatchedCounter<'e, 'e>,
 }
 
+/// One base-table scan's access path, chosen from the actual bound values:
+/// the table, its bindings, the planner's choice, and the indices of the
+/// conjuncts the chosen path did not consume (an index range implies the
+/// conjuncts it was built from, so only the rest are re-checked per row).
+pub(crate) struct ScanPlan<'e> {
+    pub(crate) table: &'e Table,
+    pub(crate) bindings: Vec<Binding>,
+    pub(crate) choice: planner::ScanChoice,
+    pub(crate) residual: Vec<usize>,
+}
+
+/// Chooses the access path for a scan of `name` (bound as `alias`, if
+/// any) under its pushed-down conjuncts `single` — the one place every
+/// scan (streamed, aggregate-driven, DML, `EXPLAIN`) makes that choice.
+/// Column-free conjunct operands are evaluated once here, so a scalar
+/// subquery among them runs (and touches pages) at this point.
+pub(crate) fn plan_scan<'e>(
+    name: &str,
+    alias: Option<&str>,
+    single: &[Expr],
+    ctx: &ExecContext<'e>,
+) -> EngineResult<ScanPlan<'e>> {
+    let table = ctx
+        .db
+        .table(name)
+        .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+    let eval_const = |e: &Expr| -> Option<Value> {
+        if exec::expr_has_columns(e) {
+            None
+        } else {
+            eval_expr(e, &[], ctx).ok()
+        }
+    };
+    let choice = planner::choose_access_path(
+        table,
+        alias.unwrap_or(name),
+        single,
+        ctx.db.seqscan_enabled(),
+        ctx.db.indexscan_enabled(),
+        &eval_const,
+    );
+    let residual = (0..single.len())
+        .filter(|i| !choice.consumed.contains(i))
+        .collect();
+    Ok(ScanPlan {
+        table,
+        bindings: exec::bindings_for_table(&table.schema, alias),
+        choice,
+        residual,
+    })
+}
+
 /// Base-table scan: chooses the access path at open (from the actual bound
 /// parameter values), then streams surviving rows in batches.
 pub(crate) struct ScanExec<'e> {
-    pub(crate) name: &'e str,
-    pub(crate) alias: Option<&'e str>,
-    pub(crate) single: &'e [Expr],
-    pub(crate) outer: &'e [Frame<'e>],
-    pub(crate) ctx: &'e ExecContext<'e>,
-    pub(crate) batch_mode: bool,
-    pub(crate) bindings: Vec<Binding>,
-    pub(crate) state: Option<ScanState<'e>>,
+    name: &'e str,
+    alias: Option<&'e str>,
+    single: &'e [Expr],
+    outer: &'e [Frame<'e>],
+    ctx: &'e ExecContext<'e>,
+    batch_mode: bool,
+    bindings: Vec<Binding>,
+    state: Option<ScanState<'e>>,
 }
 
 impl<'e> ScanExec<'e> {
@@ -69,36 +121,13 @@ impl<'e> ScanExec<'e> {
 impl<'e> Operator<'e> for ScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         let ctx = self.ctx;
-        let table = ctx
-            .db
-            .table(self.name)
-            .ok_or_else(|| EngineError::UnknownTable(self.name.to_string()))?;
-        let binding_name = self.alias.unwrap_or(self.name);
-        let eval_const = |e: &Expr| -> Option<Value> {
-            if exec::expr_has_columns(e) {
-                None
-            } else {
-                eval_expr(e, &[], ctx).ok()
-            }
-        };
-        let choice = planner::choose_access_path(
+        let ScanPlan {
             table,
-            binding_name,
-            self.single,
-            ctx.db.seqscan_enabled(),
-            ctx.db.indexscan_enabled(),
-            &eval_const,
-        );
-        let bindings = exec::bindings_for_table(&table.schema, self.alias);
-        // Predicates consumed by the index range are implied by the scan
-        // bounds; only the rest are re-checked per row.
-        let residual_exprs: Vec<&Expr> = self
-            .single
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !choice.consumed.contains(i))
-            .map(|(_, e)| e)
-            .collect();
+            bindings,
+            choice,
+            residual,
+        } = plan_scan(self.name, self.alias, self.single, ctx)?;
+        let residual_exprs: Vec<&Expr> = residual.iter().map(|&i| &self.single[i]).collect();
         let residual = residual_exprs
             .iter()
             .map(|e| resolve_pred(e, &bindings, self.outer, ctx, self.batch_mode))

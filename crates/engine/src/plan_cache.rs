@@ -3,12 +3,11 @@
 //! Entries are keyed by the normalized statement fingerprint: the trimmed
 //! SQL text — parameter placeholders like `$1` are already part of the
 //! text, so structurally identical statements share one entry no matter
-//! what values they are later bound with — plus the plan-shaping session
-//! knobs: `enable_kernel`, because it changes what lowering produces (the
-//! fused plan vs the general tree), and `enable_seqscan`, because it
-//! steers the access-path choice. Keying on them means toggling a knob
-//! can never serve a plan compiled under the other setting; the variants
-//! simply coexist in the cache. A cached plan is the lowered
+//! what values they are later bound with — plus the one plan-shaping
+//! session knob, `enable_seqscan`, because it steers the access-path
+//! choice. Keying on it means toggling the knob can never serve a plan
+//! compiled under the other setting; the variants simply coexist in the
+//! cache. A cached plan is the lowered
 //! [`PhysicalPlan`] (which carries the parsed `Select`) and its parameter
 //! count.
 //!
@@ -23,7 +22,7 @@
 //!   `(pages, rows)` of each referenced table at compile time. If a
 //!   table's cardinality has drifted since, the entry is recompiled; this
 //!   matters because index-range extraction is resolved from bound values
-//!   per execution, but the *kernel shape* and column resolution are not.
+//!   per execution, but the lowered tree and column resolution are not.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -143,20 +142,14 @@ impl PlanCache {
     }
 }
 
-/// Normalizes raw SQL plus the plan-shaping session knobs into the cache
-/// fingerprint. `enable_kernel` is part of the key because it selects the
-/// lowered shape (fused vs general); `enable_seqscan` because it steers
-/// the planner's access-path choice, so toggling it mid-session must never
-/// serve a plan compiled under the other setting. Execution-only knobs
-/// (like `enable_batch_exec`, which changes how a tree runs but not what
-/// is lowered) are deliberately *not* keyed.
-pub(crate) fn fingerprint(sql: &str, kernel_on: bool, seqscan_on: bool) -> String {
-    format!(
-        "{}#k={}#s={}",
-        sql.trim(),
-        kernel_on as u8,
-        seqscan_on as u8
-    )
+/// Normalizes raw SQL plus the plan-shaping session knob into the cache
+/// fingerprint. `enable_seqscan` is keyed because it steers the planner's
+/// access-path choice, so toggling it mid-session must never serve a plan
+/// compiled under the other setting. Execution-only knobs (like
+/// `enable_batch_exec`, which changes how a tree runs but not what is
+/// lowered) are deliberately *not* keyed.
+pub(crate) fn fingerprint(sql: &str, seqscan_on: bool) -> String {
+    format!("{}#s={}", sql.trim(), seqscan_on as u8)
 }
 
 #[cfg(test)]
@@ -173,7 +166,7 @@ mod tests {
             .expect("trivial select parses");
         let db = crate::db::Database::in_memory();
         Arc::new(CachedPlan {
-            physical: crate::physical::lower(&select, &db, false),
+            physical: crate::physical::lower(&select, &db),
             n_params: 0,
             catalog_version: version,
             stats_token: Vec::new(),
@@ -224,16 +217,11 @@ mod tests {
 
     #[test]
     fn fingerprint_trims_whitespace_and_keys_on_the_session_knobs() {
-        assert_eq!(fingerprint("  select 1\n", true, true), "select 1#k=1#s=1");
-        assert_eq!(fingerprint("  select 1\n", false, true), "select 1#k=0#s=1");
-        assert_eq!(fingerprint("select 1", true, false), "select 1#k=1#s=0");
+        assert_eq!(fingerprint("  select 1\n", true), "select 1#s=1");
+        assert_eq!(fingerprint("select 1", false), "select 1#s=0");
         assert_ne!(
-            fingerprint("select 1", true, true),
-            fingerprint("select 1", false, true)
-        );
-        assert_ne!(
-            fingerprint("select 1", true, true),
-            fingerprint("select 1", true, false)
+            fingerprint("select 1", true),
+            fingerprint("select 1", false)
         );
     }
 }

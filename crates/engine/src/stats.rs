@@ -29,8 +29,8 @@ pub struct ExecStats {
     pub index_probes: u64,
     /// Scan batches dispatched through the physical pipeline (full
     /// [`crate::exec::SCAN_BATCH_ROWS`]-row batches plus the final partial
-    /// one per scan). Identical between the fused and general shapes; the
-    /// sim can price per-batch dispatch overhead off it.
+    /// one per scan). Identical across execution modes and worker counts;
+    /// the sim can price per-batch dispatch overhead off it.
     pub scan_batches: u64,
     /// Heap pages a sequential scan skipped outright because the page's
     /// zone map proved no row could satisfy a pushed-down comparison.
@@ -150,8 +150,10 @@ mod tests {
         assert_eq!(out.stats.scan_batches, 2);
     }
 
-    /// The fused kernel charges statistics per batch too; its totals must
-    /// equal the interpreted pipeline's per-row totals on the same query.
+    /// The compiled aggregate fold charges statistics per batch (or per
+    /// morsel, possibly on worker threads); its totals must equal the
+    /// interpreter's per-row totals (`enable_batch_exec = off`) on the same
+    /// query, at every worker count and with the columnar fold on or off.
     #[test]
     fn kernel_batch_charges_equal_interpreted_totals() {
         use apuama_sql::Value;
@@ -164,24 +166,47 @@ mod tests {
         d.load_table("t", rows).unwrap();
         let sql = "select sum(v) as s, count(*) as n from t where k >= $1 and k < $2 and v > $3";
         let params = [Value::Int(50), Value::Int(2950), Value::Float(0.5)];
-        let kernel = d.query_bound(sql, &params).unwrap();
-        d.query("set enable_kernel = off").unwrap();
+        d.query("set enable_batch_exec = off").unwrap();
         let interpreted = d.query_bound(sql, &params).unwrap();
-        assert_eq!(kernel.rows, interpreted.rows);
-        assert_eq!(kernel.stats.rows_scanned, interpreted.stats.rows_scanned);
-        assert_eq!(kernel.stats.cpu_tuple_ops, interpreted.stats.cpu_tuple_ops);
-        assert_eq!(kernel.stats.index_probes, interpreted.stats.index_probes);
-        assert_eq!(kernel.stats.scan_batches, interpreted.stats.scan_batches);
-        assert_eq!(
-            kernel.stats.buffer.accesses(),
-            interpreted.stats.buffer.accesses()
-        );
+        d.query("set enable_batch_exec = on").unwrap();
+        for workers in [1, 2, 4] {
+            for columnar in ["on", "off"] {
+                d.query(&format!("set parallel_workers = {workers}"))
+                    .unwrap();
+                d.query(&format!("set enable_columnar = {columnar}"))
+                    .unwrap();
+                let kernel = d.query_bound(sql, &params).unwrap();
+                let what = format!("workers {workers}, columnar {columnar}");
+                assert_eq!(kernel.rows, interpreted.rows, "{what}");
+                assert_eq!(
+                    kernel.stats.rows_scanned, interpreted.stats.rows_scanned,
+                    "{what}"
+                );
+                assert_eq!(
+                    kernel.stats.cpu_tuple_ops, interpreted.stats.cpu_tuple_ops,
+                    "{what}"
+                );
+                assert_eq!(
+                    kernel.stats.index_probes, interpreted.stats.index_probes,
+                    "{what}"
+                );
+                assert_eq!(
+                    kernel.stats.scan_batches, interpreted.stats.scan_batches,
+                    "{what}"
+                );
+                assert_eq!(
+                    kernel.stats.buffer.accesses(),
+                    interpreted.stats.buffer.accesses(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     /// The batch-exec fast paths accumulate cpu charges locally and flush
     /// them per batch; every counter must still equal the legacy row-at-a-
-    /// time totals exactly — on the fused shape, the general aggregate
-    /// shape, and a join — for both text and bound execution.
+    /// time totals exactly — on a range aggregate, a grouped aggregate,
+    /// and a join — for both text and bound execution.
     #[test]
     fn batch_exec_charges_equal_legacy_totals() {
         use apuama_sql::Value;
@@ -272,17 +297,11 @@ mod tests {
         );
         // Every execution mode prunes the same pages and charges the same
         // counters.
-        for (kernel, batch) in [(false, true), (true, false), (false, false)] {
-            d.query(&format!(
-                "set enable_kernel = {}",
-                if kernel { "on" } else { "off" }
-            ))
-            .unwrap();
-            d.query(&format!(
-                "set enable_batch_exec = {}",
-                if batch { "on" } else { "off" }
-            ))
-            .unwrap();
+        for (batch, workers) in [("off", 1), ("on", 1), ("on", 4)] {
+            d.query(&format!("set enable_batch_exec = {batch}"))
+                .unwrap();
+            d.query(&format!("set parallel_workers = {workers}"))
+                .unwrap();
             let other = d.query(&sql).unwrap();
             assert_eq!(other.rows, out.rows);
             assert_eq!(other.stats.pages_pruned, out.stats.pages_pruned);
@@ -291,7 +310,6 @@ mod tests {
             assert_eq!(other.stats.scan_batches, out.stats.scan_batches);
             assert_eq!(other.stats.buffer.accesses(), out.stats.buffer.accesses());
         }
-        d.query("set enable_kernel = on").unwrap();
         d.query("set enable_batch_exec = on").unwrap();
         // An unmapped column never prunes, even when every page could be
         // refuted by its values.

@@ -2,10 +2,11 @@
 //! token fires at an arbitrary batch boundary (DESIGN.md §11) either
 //! completes normally or fails with `Cancelled` — and in both cases the
 //! engine answers the next, ungoverned run of the same statement
-//! byte-identically to a never-cancelled engine. Checked across the
-//! execution-mode matrix: `enable_kernel` on/off × `enable_batch_exec`
-//! on/off, so the interpreter, the batch fast paths, and the fused kernel
-//! all honor the same unwind contract — and `parallel_workers` ∈ {1, 2, 4},
+//! byte-identically to a never-cancelled engine running the seed
+//! interpreter's profile (`enable_batch_exec = off`, serial). Checked with
+//! `enable_batch_exec` on and off, so the interpreter and the batch fast
+//! paths (the compiled aggregate fold included) honor the same unwind
+//! contract — and `parallel_workers` ∈ {1, 2, 4},
 //! so a cancel that lands while morsel workers are in flight must likewise
 //! unwind cleanly (worker-side memory charges released, no partial state
 //! surviving into the replay).
@@ -37,10 +38,8 @@ fn db() -> Database {
     d
 }
 
-fn set_modes(d: &Database, kernel: bool, batch: bool, workers: usize) {
+fn set_modes(d: &Database, batch: bool, workers: usize) {
     let onoff = |b: bool| if b { "on" } else { "off" };
-    d.query(&format!("set enable_kernel = {}", onoff(kernel)))
-        .unwrap();
     d.query(&format!("set enable_batch_exec = {}", onoff(batch)))
         .unwrap();
     d.query(&format!("set parallel_workers = {workers}"))
@@ -48,7 +47,7 @@ fn set_modes(d: &Database, kernel: bool, batch: bool, workers: usize) {
 }
 
 const QUERIES: [&str; 3] = [
-    // Aggregation over every batch (kernel-eligible shape).
+    // Aggregation over every batch (the aggregate drives the scan).
     "select count(*) as n, sum(v) as s, avg(v) as a from t",
     // Grouped aggregate + sort: pipeline breakers holding per-group state.
     "select g, count(*) as n, sum(v) as s from t group by g order by g",
@@ -63,19 +62,19 @@ proptest! {
     fn cancelled_query_leaves_engine_byte_identical(
         query_idx in 0usize..QUERIES.len(),
         fuse in 0u64..48,
-        kernel in any::<bool>(),
         batch in any::<bool>(),
         workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let sql = QUERIES[query_idx];
 
-        // Reference: an engine that never saw a cancellation.
+        // Reference: an engine that never saw a cancellation, running
+        // the serial interpreter profile.
         let clean = db();
-        set_modes(&clean, kernel, batch, workers);
+        set_modes(&clean, false, 1);
         let want = clean.query(sql).unwrap();
 
         let d = db();
-        set_modes(&d, kernel, batch, workers);
+        set_modes(&d, batch, workers);
         let gov = QueryGovernor::new();
         gov.cancel_token().cancel_after_checks(fuse);
         match d.query_governed(sql, &gov) {

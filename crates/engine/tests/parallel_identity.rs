@@ -2,8 +2,9 @@
 //! any `parallel_workers` setting, a query answers with byte-identical
 //! rows AND identical work counters (`rows_scanned`, `cpu_tuple_ops`,
 //! `index_probes`, `pages_pruned`, `scan_batches`, buffer-pool touches) to
-//! the serial execution, across the full execution-mode matrix
-//! (`enable_kernel` × `enable_batch_exec`). The table spans many
+//! the serial execution of the seed interpreter's profile
+//! (`enable_batch_exec = off`), with the batch-exec pipeline on and off.
+//! The table spans many
 //! page-aligned morsels so the parallel decomposition genuinely engages;
 //! float payloads are quarter-steps (exactly representable) so partial-sum
 //! merging cannot round differently from the serial fold.
@@ -55,8 +56,8 @@ fn assert_identical(a: &QueryOutput, b: &QueryOutput, what: &str) {
 }
 
 /// Every scan/aggregate/sort shape the parallel decomposition touches:
-/// global fused aggregation, grouped aggregation (partial-group merge),
-/// zone-map-pruned scans, index-range morsels, parallel filter + chunk
+/// global aggregation, grouped aggregation (partial-group merge),
+/// zone-map-pruned scans, index-range morsels, filter + parallel chunk
 /// sort, and DISTINCT.
 const QUERIES: &[&str] = &[
     "select count(*) as n, sum(v) as s, avg(v) as a, min(v) as lo, max(v) as hi from t",
@@ -73,30 +74,90 @@ const QUERIES: &[&str] = &[
 fn parallel_execution_is_byte_identical_to_serial() {
     for sql in QUERIES {
         let d = db();
-        for kernel in ["on", "off"] {
-            for batch in ["on", "off"] {
-                d.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                d.query(&format!("set enable_batch_exec = {batch}"))
+        d.query("set enable_batch_exec = off").unwrap();
+        d.query("set parallel_workers = 1").unwrap();
+        let serial = d.query(sql).unwrap();
+        for batch in ["on", "off"] {
+            d.query(&format!("set enable_batch_exec = {batch}"))
+                .unwrap();
+            for workers in [1usize, 2, 4, 8] {
+                d.query(&format!("set parallel_workers = {workers}"))
                     .unwrap();
-                d.query("set parallel_workers = 1").unwrap();
-                let serial = d.query(sql).unwrap();
-                for workers in [2usize, 4, 8] {
-                    d.query(&format!("set parallel_workers = {workers}"))
-                        .unwrap();
-                    let parallel = d.query(sql).unwrap();
-                    assert_identical(
-                        &parallel,
-                        &serial,
-                        &format!("×{workers} kernel={kernel} batch={batch}: {sql}"),
-                    );
-                    assert_eq!(
-                        d.mem_gauge().used_bytes(),
-                        0,
-                        "worker memory charges must drain: {sql}"
-                    );
-                }
+                let parallel = d.query(sql).unwrap();
+                assert_identical(
+                    &parallel,
+                    &serial,
+                    &format!("×{workers} batch={batch}: {sql}"),
+                );
+                assert_eq!(
+                    d.mem_gauge().used_bytes(),
+                    0,
+                    "worker memory charges must drain: {sql}"
+                );
             }
         }
+    }
+}
+
+/// The aggregate's group table matches linearly up to
+/// `LINEAR_GROUPS_MAX` (16) groups, then cuts over to a hashed index, and
+/// parallel partials merge in morsel order. Here 40 groups make their
+/// first appearance spread over the table's morsels — group `i` first
+/// appears near row `150·i` and later rows revisit every earlier group —
+/// so the later morsels' partials, the merged table, and the inline
+/// table all cross the cut-over, the early partials do not. With
+/// no ORDER BY the output is first-seen group order, which must match the
+/// serial interpreter row for row, counters included, at every worker
+/// count and with the columnar fold on and off.
+#[test]
+fn group_table_cut_over_merges_in_first_seen_order() {
+    let mut d = Database::in_memory();
+    d.execute("create table t (k int not null, g int, v float, primary key (k)) clustered by (k)")
+        .unwrap();
+    let rows: Vec<Vec<Value>> = (1..=6_000i64)
+        .map(|k| {
+            let first = k / 150;
+            let g = if k % 3 == 0 {
+                (k / 3) % (first + 1)
+            } else {
+                first
+            };
+            vec![
+                Value::Int(k),
+                Value::Int(g),
+                Value::Float((k % 97) as f64 * 0.25),
+            ]
+        })
+        .collect();
+    d.load_table("t", rows).unwrap();
+    for sql in [
+        "select g, count(*) as n, sum(v) as s, min(v) as lo, max(k) as hi, avg(v) as a \
+         from t group by g",
+        "select g, count(*) as n, sum(v) as s from t where v > 1.0 group by g",
+    ] {
+        d.query("set enable_batch_exec = off").unwrap();
+        d.query("set parallel_workers = 1").unwrap();
+        let want = d.query(sql).unwrap();
+        assert_eq!(want.rows.len(), 40, "{sql}");
+        let first_seen: Vec<Value> = (0..40).map(Value::Int).collect();
+        let got_order: Vec<Value> = want.rows.iter().map(|r| r[0].clone()).collect();
+        assert_eq!(got_order, first_seen, "groups come out in first-seen order");
+        d.query("set enable_batch_exec = on").unwrap();
+        for workers in [1usize, 2, 4] {
+            d.query(&format!("set parallel_workers = {workers}"))
+                .unwrap();
+            for columnar in ["on", "off"] {
+                d.query(&format!("set enable_columnar = {columnar}"))
+                    .unwrap();
+                let got = d.query(sql).unwrap();
+                assert_identical(
+                    &got,
+                    &want,
+                    &format!("×{workers} columnar={columnar}: {sql}"),
+                );
+            }
+        }
+        d.query("set enable_columnar = on").unwrap();
     }
 }
 
@@ -126,20 +187,45 @@ fn cached_plan_is_reused_across_worker_counts() {
     );
 }
 
+/// `enable_kernel` once chose between two lowered shapes; with one
+/// aggregation path it is stored and ignored like any unknown setting.
+/// It is no longer part of the plan fingerprint, so flipping it keeps
+/// serving the one cached plan, with identical answers.
+#[test]
+fn cached_plan_is_reused_when_enable_kernel_is_set() {
+    let d = db();
+    let template = "select g, count(*) as n, sum(v) as s from t \
+                    where k >= $1 and k < $2 group by g order by g";
+    let params = vec![Value::Int(10), Value::Int(4800)];
+    let want = d.query_bound(template, &params).unwrap();
+    d.query("set enable_kernel = off").unwrap();
+    assert!(d.kernel_enabled());
+    let got = d.query_bound(template, &params).unwrap();
+    assert_identical(&got, &want, "enable_kernel = off");
+    let s = d.plan_cache_stats();
+    assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
+    assert_eq!(s.invalidations + s.replans + s.evictions, 0);
+}
+
 /// A predicate that fails mid-scan raises the *same* error parallel as
 /// serial: the coordinator reports the earliest morsel's failure, and the
 /// earliest morsel starts at the serial scan's first row.
 #[test]
 fn parallel_errors_match_serial() {
-    for kernel in ["on", "off"] {
+    let sql = "select count(*) as n from t where v > 'oops'";
+    let serial = {
         let d = db();
-        d.query(&format!("set enable_kernel = {kernel}")).unwrap();
-        let sql = "select count(*) as n from t where v > 'oops'";
+        d.query("set enable_batch_exec = off").unwrap();
         d.query("set parallel_workers = 1").unwrap();
-        let serial = d.query(sql).unwrap_err().to_string();
+        d.query(sql).unwrap_err().to_string()
+    };
+    for batch in ["on", "off"] {
+        let d = db();
+        d.query(&format!("set enable_batch_exec = {batch}"))
+            .unwrap();
         d.query("set parallel_workers = 4").unwrap();
         let parallel = d.query(sql).unwrap_err().to_string();
-        assert_eq!(parallel, serial, "kernel={kernel}");
+        assert_eq!(parallel, serial, "batch={batch}");
         assert_eq!(
             d.mem_gauge().used_bytes(),
             0,

@@ -3,8 +3,9 @@
 //! plain query's output, and the per-operator self times must be
 //! internally consistent with the reported total execution time.
 
+use apuama::{DataCatalog, Rewritten, SvpRewriter};
 use apuama_engine::Database;
-use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
+use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchQuery, ALL_QUERIES};
 
 fn tpch_db() -> Database {
     let data = generate(TpchConfig {
@@ -38,66 +39,36 @@ fn field(line: &str, name: &str) -> f64 {
     rest[..end].parse().unwrap()
 }
 
-#[test]
-fn explain_analyze_tpch_q1ish_reports_consistent_tree() {
-    let db = tpch_db();
-    // Pinned serial: with morsel workers the per-worker probe lines report
-    // overlapping wall time, so the exclusive-time sum below is a
-    // serial-tree invariant. The parallel rendering has its own test.
-    db.query("set parallel_workers = 1").unwrap();
-    let q = &ALL_QUERIES[0];
-    let sql = q.sql(&QueryParams::random(7));
-    let expected_rows = db.query(&sql).unwrap().rows.len() as f64;
-
-    // With the fusion kernel on, Q1 collapses to a fused aggregate.
-    let fused = plan_lines(&db, &format!("explain analyze {sql}"));
-    assert!(
-        fused.iter().any(|l| l.contains("fused aggregate over")),
-        "{fused:?}"
-    );
-
-    // With it off, the full general tree is visible: scan → … → aggregate.
-    db.query("set enable_kernel = off").unwrap();
-    let lines = plan_lines(&db, &format!("explain analyze {sql}"));
+/// Checks one rendered tree: a footer with the wall-clock total, the
+/// actual-rows annotation on every operator, an unindented root reporting
+/// exactly the query's rows, and — the tree being serial — exclusive self
+/// times that telescope to the root's inclusive time, itself bounded by
+/// the footer.
+fn assert_consistent_serial_tree(lines: &[String], expected_rows: f64) {
     let (footer, ops) = lines.split_last().expect("non-empty plan");
-
-    // Footer: `execution time: X.XXX ms`.
     assert!(footer.starts_with("execution time: "), "{footer}");
     let total_ms: f64 = footer
         .trim_start_matches("execution time: ")
         .trim_end_matches(" ms")
         .parse()
         .unwrap();
-
-    // Every operator line carries the actual-rows annotation.
     for op in ops {
         assert!(
             op.contains("(actual rows=") && op.contains("self_ms="),
             "{op}"
         );
     }
-    // A scan and an aggregate appear, and the root reports exactly the
-    // query's rows.
-    assert!(
-        ops.iter().any(|l| l.trim_start().starts_with("scan ")),
-        "{lines:?}"
-    );
-    assert!(
-        ops.iter().any(|l| l.trim_start().starts_with("aggregate")),
-        "{lines:?}"
-    );
     let root = &ops[0];
     assert!(!root.starts_with(' '), "root must be unindented: {root}");
     assert_eq!(field(root, "rows"), expected_rows, "{root}");
 
-    // Self times are exclusive, so they sum to at most the root's
-    // inclusive time (small slack for float rendering), and the root time
-    // is bounded by the footer's wall-clock total.
+    // Slack covers the 3-decimal rendering of each line.
     let self_sum: f64 = ops.iter().map(|l| field(l, "self_ms")).sum();
     let root_total = field(root, "total_ms");
+    let slack = root_total * 0.01 + 0.01;
     assert!(
-        self_sum <= root_total * 1.01 + 0.1,
-        "self_ms sum {self_sum} exceeds root total {root_total}\n{lines:?}"
+        (self_sum - root_total).abs() <= slack,
+        "self_ms sum {self_sum} differs from root total {root_total}\n{lines:?}"
     );
     assert!(
         root_total <= total_ms * 1.01 + 0.1,
@@ -107,55 +78,111 @@ fn explain_analyze_tpch_q1ish_reports_consistent_tree() {
     assert!(total_ms > 0.0, "{footer}");
 }
 
-/// With `parallel_workers` ≥ 2, eligible operators carry a `[parallel ×N]`
-/// marker and per-worker row/morsel/time breakdown lines, and the reported
-/// row counts still reconcile with the plain query.
 #[test]
-fn explain_analyze_shows_parallel_marker_and_worker_breakdown() {
+fn explain_analyze_tpch_q1ish_reports_consistent_tree() {
     let db = tpch_db();
-    db.query("set parallel_workers = 2").unwrap();
+    // Pinned serial: with morsel workers the per-worker probe lines report
+    // overlapping wall time, so the self-time sum is a serial-tree
+    // invariant. The parallel rendering has its own test.
+    db.query("set parallel_workers = 1").unwrap();
     let q = &ALL_QUERIES[0];
     let sql = q.sql(&QueryParams::random(7));
     let expected_rows = db.query(&sql).unwrap().rows.len() as f64;
 
-    // Fused shape: the parallel fused aggregate advertises its workers and
-    // attaches one probe line per worker.
-    let fused = plan_lines(&db, &format!("explain analyze {sql}"));
+    // Q1 is one aggregate over one table: the aggregate drives the scan
+    // itself and renders as a single node, inline at one worker.
+    let lines = plan_lines(&db, &format!("explain analyze {sql}"));
+    let aggs: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.trim_start().starts_with("aggregate over lineitem"))
+        .collect();
+    assert_eq!(aggs.len(), 1, "{lines:?}");
+    assert!(!aggs[0].contains("[parallel"), "{lines:?}");
     assert!(
-        fused
-            .iter()
-            .any(|l| l.contains("fused aggregate over") && l.contains("[parallel ×2]")),
-        "{fused:?}"
+        !lines.iter().any(|l| l.trim_start().starts_with("scan ")),
+        "{lines:?}"
     );
-    let workers: Vec<&String> = fused
+    assert_consistent_serial_tree(&lines, expected_rows);
+
+    // The interpreter profile streams a scan into a separate aggregate.
+    db.query("set enable_batch_exec = off").unwrap();
+    let lines = plan_lines(&db, &format!("explain analyze {sql}"));
+    assert!(
+        lines.iter().any(|l| l.trim_start().starts_with("scan ")),
+        "{lines:?}"
+    );
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.trim_start().starts_with("aggregate (")),
+        "{lines:?}"
+    );
+    assert_consistent_serial_tree(&lines, expected_rows);
+}
+
+/// With `parallel_workers` ≥ 2, the aggregate over TPC-H Q1's range
+/// sub-query — the statement an SVP node runs — is the one operator on
+/// the worker pool: a single `[parallel ×2]` node with one probe line per
+/// worker, whose rows reconcile with the plain query. Scans under other
+/// consumers (Q3's joins) stay serial.
+#[test]
+fn explain_analyze_shows_parallel_marker_and_worker_breakdown() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.001,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    db.query("set parallel_workers = 2").unwrap();
+    let params = QueryParams::random(7);
+    let rewriter = SvpRewriter::new(DataCatalog::tpch(data.config.orders() as i64));
+    let Rewritten::Svp(plan) = rewriter.rewrite(&ALL_QUERIES[0].sql(&params), 2).unwrap() else {
+        panic!("Q1 is SVP-eligible");
+    };
+    let sql = &plan.subqueries[0];
+    let expected_rows = db.query(sql).unwrap().rows.len() as f64;
+
+    let lines = plan_lines(&db, &format!("explain analyze {sql}"));
+    let aggs: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.trim_start().starts_with("aggregate over lineitem"))
+        .collect();
+    assert_eq!(aggs.len(), 1, "{lines:?}");
+    assert!(aggs[0].contains("[parallel ×2]"), "{lines:?}");
+    let workers: Vec<&String> = lines
         .iter()
         .filter(|l| l.trim_start().starts_with("parallel worker "))
         .collect();
-    assert_eq!(workers.len(), 2, "{fused:?}");
+    assert_eq!(workers.len(), 2, "{lines:?}");
+    let depth = |l: &str| l.len() - l.trim_start().len();
     for w in &workers {
         assert!(w.contains("(actual rows=") && w.contains("self_ms="), "{w}");
+        assert_eq!(
+            depth(w),
+            depth(aggs[0]) + 2,
+            "worker under the aggregate: {lines:?}"
+        );
     }
     // Workers together scanned every morsel's rows exactly once.
     let scanned: f64 = workers.iter().map(|l| field(l, "rows")).sum();
     let serial_scanned = {
         db.query("set parallel_workers = 1").unwrap();
-        let out = db.query(&sql).unwrap();
+        let out = db.query(sql).unwrap();
         db.query("set parallel_workers = 2").unwrap();
         out.stats.rows_scanned as f64
     };
-    assert_eq!(scanned, serial_scanned, "{fused:?}");
-    assert_eq!(field(&fused[0], "rows"), expected_rows, "{fused:?}");
+    assert_eq!(scanned, serial_scanned, "{lines:?}");
+    assert_eq!(field(&lines[0], "rows"), expected_rows, "{lines:?}");
 
-    // General shape: the base-table scan carries the marker instead.
-    db.query("set enable_kernel = off").unwrap();
-    let lines = plan_lines(&db, &format!("explain analyze {sql}"));
+    // Q3 joins three tables: its scans feed the join, not an aggregate,
+    // so none of them runs on the pool.
+    let q3 = TpchQuery::Q3.sql(&params);
+    let lines = plan_lines(&db, &format!("explain analyze {q3}"));
     assert!(
-        lines
-            .iter()
-            .any(|l| l.trim_start().starts_with("scan ") && l.contains("[parallel ×2]")),
+        lines.iter().any(|l| l.trim_start().starts_with("scan ")),
         "{lines:?}"
     );
-    assert_eq!(field(&lines[0], "rows"), expected_rows, "{lines:?}");
+    assert!(!lines.iter().any(|l| l.contains("[parallel")), "{lines:?}");
 }
 
 /// The instrumented execution answers exactly like the plain one for every

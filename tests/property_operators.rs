@@ -1,17 +1,18 @@
 //! Property-based tests of the physical operator pipeline:
 //!
-//! 1. **Shape equivalence** — for random data and a family of generated
+//! 1. **Mode equivalence** — for random data and a family of generated
 //!    filters, joins, aggregates, ORDER BY/LIMIT/DISTINCT, and
-//!    subquery-bearing statements, the general operator tree and the fused
-//!    scan→filter→aggregate rewrite (`enable_kernel` on vs off) produce
-//!    byte-identical rows *and* identical work counters — `rows_scanned`,
-//!    `cpu_tuple_ops`, `index_probes`, `rows_out`, `bytes_out`,
-//!    `scan_batches`, and buffer-pool page touches.
+//!    subquery-bearing statements, the batch-exec pipeline (its compiled
+//!    aggregate fold with the columnar form on and off, at 1, 2 and 4
+//!    workers) and the seed interpreter's profile (`enable_batch_exec =
+//!    off`) produce byte-identical rows *and* identical work counters —
+//!    `rows_scanned`, `cpu_tuple_ops`, `index_probes`, `rows_out`,
+//!    `bytes_out`, `scan_batches`, and buffer-pool page touches.
 //! 2. **Path equivalence** — for every family member, the text path and
 //!    the prepared/bound path (cached physical plan) are indistinguishable
-//!    under either knob setting.
+//!    in every mode.
 //! 3. **TPC-H sweep** — the full evaluation-query set answers identically
-//!    with the fusion rewrite enabled and disabled.
+//!    in every mode.
 
 use proptest::prelude::*;
 
@@ -182,13 +183,13 @@ fn assert_identical(a: &QueryOutput, b: &QueryOutput, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For every generated statement, all eight executions — text and
-    /// bound, fusion rewrite on and off, batch-exec fast paths on and off
-    /// — are byte-identical in rows and work counters, under every
-    /// `parallel_workers` setting; the parallel runs are additionally
-    /// anchored to an explicitly serial (`parallel_workers = 1`) reference.
+    /// For every generated statement, the seed interpreter's profile
+    /// (`enable_batch_exec = off`, serial, text) is the reference: the
+    /// bound legacy path, the legacy path at `workers`, and the batch-exec
+    /// pipeline — text and bound, columnar fold on and off, at `workers` —
+    /// are byte-identical to it in rows and work counters.
     #[test]
-    fn pipeline_identical_across_kernel_toggle_and_bind_path(
+    fn pipeline_identical_across_modes_and_bind_path(
         rows in rows_strategy(),
         query_idx in 0usize..FAMILY.len(),
         lo in 0i64..400,
@@ -201,37 +202,24 @@ proptest! {
         let params = params_for(n_params, lo, lo + width, qty);
         let text = render(template, &params);
 
-        db.query("set parallel_workers = 1").unwrap();
-        let serial = db.query(&text).unwrap();
-        db.query(&format!("set parallel_workers = {workers}")).unwrap();
-
-        let text_on = db.query(&text).unwrap();
-        assert_identical(&text_on, &serial, &format!("parallel ×{workers}≡serial: {text}"));
-        let bound_on = db.query_bound(template, &params).unwrap();
-        // The columnar fold (DESIGN.md §13) must be invisible: same rows,
-        // same counters, with the kernel's scalar row loop forced instead.
-        db.query("set enable_columnar = off").unwrap();
-        let scalar_fold = db.query(&text).unwrap();
-        assert_identical(&scalar_fold, &text_on, &format!("columnar off≡on: {text}"));
-        db.query("set enable_columnar = on").unwrap();
-        db.query("set enable_kernel = off").unwrap();
-        let text_off = db.query(&text).unwrap();
-        let bound_off = db.query_bound(template, &params).unwrap();
-
-        assert_identical(&bound_on, &text_on, &format!("bound≡text, kernel on: {text}"));
-        assert_identical(&bound_off, &text_off, &format!("bound≡text, kernel off: {text}"));
-        assert_identical(&text_off, &text_on, &format!("kernel off≡on: {text}"));
-
-        // The legacy row-at-a-time execution mode must be observationally
-        // identical to the batch-exec fast paths, on both lowered shapes.
         db.query("set enable_batch_exec = off").unwrap();
-        let legacy_text = db.query(&text).unwrap();
+        db.query("set parallel_workers = 1").unwrap();
+        let want = db.query(&text).unwrap();
         let legacy_bound = db.query_bound(template, &params).unwrap();
-        assert_identical(&legacy_text, &text_off, &format!("legacy≡batch, kernel off: {text}"));
-        assert_identical(&legacy_bound, &bound_off, &format!("legacy bound≡batch, kernel off: {text}"));
-        db.query("set enable_kernel = on").unwrap();
-        let legacy_kernel = db.query(&text).unwrap();
-        assert_identical(&legacy_kernel, &text_on, &format!("legacy≡batch, kernel on: {text}"));
+        assert_identical(&legacy_bound, &want, &format!("legacy bound≡text: {text}"));
+        db.query(&format!("set parallel_workers = {workers}")).unwrap();
+        let legacy = db.query(&text).unwrap();
+        assert_identical(&legacy, &want, &format!("legacy ×{workers}≡serial: {text}"));
+
+        db.query("set enable_batch_exec = on").unwrap();
+        for columnar in ["on", "off"] {
+            db.query(&format!("set enable_columnar = {columnar}")).unwrap();
+            let what = format!("batch ×{workers}, columnar {columnar}");
+            let got = db.query(&text).unwrap();
+            assert_identical(&got, &want, &format!("{what}, text: {text}"));
+            let got = db.query_bound(template, &params).unwrap();
+            assert_identical(&got, &want, &format!("{what}, bound: {text}"));
+        }
     }
 }
 
@@ -296,9 +284,8 @@ fn sort_is_stable_for_equal_keys() {
 }
 
 /// Columnar-substrate edge cases (DESIGN.md §13), each asserted
-/// byte-identical across the `enable_kernel` × `enable_batch_exec` ×
-/// `enable_columnar` × `parallel_workers` matrix against one pinned
-/// serial/scalar reference:
+/// byte-identical across the `enable_batch_exec` × `enable_columnar` ×
+/// `parallel_workers` matrix against one pinned serial/scalar reference:
 ///
 /// * **empty batches** — a predicate range matching zero rows, so column
 ///   extraction and the selection vector both see empty input;
@@ -364,72 +351,97 @@ fn columnar_edge_cases_identical_across_modes() {
     for sql in cases {
         // Pinned reference: serial, scalar, row-at-a-time.
         db.query("set parallel_workers = 1").unwrap();
-        db.query("set enable_kernel = off").unwrap();
         db.query("set enable_batch_exec = off").unwrap();
         db.query("set enable_columnar = off").unwrap();
         let want = db.query(sql).unwrap();
-        for workers in [1usize, 4] {
+        for workers in [1usize, 2, 4] {
             db.query(&format!("set parallel_workers = {workers}"))
                 .unwrap();
-            for kernel in ["on", "off"] {
-                db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                for batch in ["on", "off"] {
-                    db.query(&format!("set enable_batch_exec = {batch}"))
+            for batch in ["on", "off"] {
+                db.query(&format!("set enable_batch_exec = {batch}"))
+                    .unwrap();
+                for columnar in ["on", "off"] {
+                    db.query(&format!("set enable_columnar = {columnar}"))
                         .unwrap();
-                    for columnar in ["on", "off"] {
-                        db.query(&format!("set enable_columnar = {columnar}"))
-                            .unwrap();
-                        let got = db.query(sql).unwrap();
-                        assert_identical(
-                            &got,
-                            &want,
-                            &format!(
-                                "kernel {kernel}, batch {batch}, columnar {columnar}, \
-                                 workers {workers}: {sql}"
-                            ),
-                        );
-                    }
+                    let got = db.query(sql).unwrap();
+                    assert_identical(
+                        &got,
+                        &want,
+                        &format!("batch {batch}, columnar {columnar}, workers {workers}: {sql}"),
+                    );
                 }
             }
         }
     }
     db.query("set parallel_workers = 1").unwrap();
-    db.query("set enable_kernel = on").unwrap();
     db.query("set enable_batch_exec = on").unwrap();
     db.query("set enable_columnar = on").unwrap();
 }
 
 /// The full TPC-H evaluation-query set answers byte-identically — rows and
-/// counters — with the fusion rewrite enabled and disabled, and with the
-/// batch-exec fast paths enabled and disabled.
+/// counters — in every serial execution mode: the batch-exec pipeline with
+/// the columnar fold on and off against the seed interpreter's profile
+/// (`enable_batch_exec = off`). At 2 and 4 workers the counters and every
+/// non-float value stay identical too, but TPC-H prices are hundredths
+/// (not exactly representable), so merging per-morsel partial sums may
+/// round a float sum differently in the last bits than the serial fold:
+/// those cells are held to a 1e-12 relative bound. Exact float identity
+/// across worker counts is proven on exactly representable data by the
+/// property family above and by `tests/parallel_identity.rs`.
 #[test]
-fn tpch_eval_queries_identical_with_kernel_on_and_off() {
+fn tpch_eval_queries_identical_across_modes() {
     let data = generate(TpchConfig {
         scale_factor: 0.001,
         seed: 7,
     });
     let mut db = Database::in_memory();
     load_into(&mut db, &data).unwrap();
-    // Pinned serial: TPC-H prices are hundredths (not exactly
-    // representable), so parallel partial-sum merging may legitimately
-    // differ from the serial fold in the last float bit — the strict
-    // byte-identity contract under this kernel toggle is a *serial*
-    // contract. The parallel≡serial property is proven on
-    // exactly-representable data by the operator property suite above.
-    db.query("set parallel_workers = 1").unwrap();
     let params = QueryParams::default();
     for q in ALL_QUERIES {
         let sql = q.sql(&params);
-        db.query("set enable_kernel = on").unwrap();
-        let on = db.query(&sql).unwrap();
-        db.query("set enable_kernel = off").unwrap();
-        let off = db.query(&sql).unwrap();
-        assert!(!on.columns.is_empty(), "{}", q.label());
-        assert_identical(&on, &off, &q.label());
         db.query("set enable_batch_exec = off").unwrap();
-        let legacy = db.query(&sql).unwrap();
-        assert_identical(&legacy, &off, &format!("{} (legacy exec)", q.label()));
+        db.query("set parallel_workers = 1").unwrap();
+        let want = db.query(&sql).unwrap();
+        assert!(!want.columns.is_empty(), "{}", q.label());
         db.query("set enable_batch_exec = on").unwrap();
+        for workers in [1usize, 2, 4] {
+            db.query(&format!("set parallel_workers = {workers}"))
+                .unwrap();
+            for columnar in ["on", "off"] {
+                db.query(&format!("set enable_columnar = {columnar}"))
+                    .unwrap();
+                let got = db.query(&sql).unwrap();
+                let what = format!("{} ×{workers}, columnar {columnar}", q.label());
+                if workers == 1 {
+                    assert_identical(&got, &want, &what);
+                } else {
+                    assert_identical_up_to_float_sums(&got, &want, &what);
+                }
+            }
+        }
+    }
+}
+
+/// [`assert_identical`], except that float cells may differ by float-sum
+/// reassociation (a 1e-12 relative bound).
+fn assert_identical_up_to_float_sums(a: &QueryOutput, b: &QueryOutput, what: &str) {
+    let strip = |o: &QueryOutput| QueryOutput {
+        rows: Vec::new(),
+        ..o.clone()
+    };
+    assert_identical(&strip(a), &strip(b), what);
+    assert_eq!(a.rows.len(), b.rows.len(), "{what}");
+    for (ra, rb) in a.rows.iter().zip(&b.rows) {
+        assert_eq!(ra.len(), rb.len(), "{what}");
+        for (x, y) in ra.iter().zip(rb) {
+            match (x, y) {
+                (Value::Float(x), Value::Float(y)) => assert!(
+                    (x - y).abs() <= 1e-12 * x.abs().max(y.abs()),
+                    "{what}: {x} vs {y}"
+                ),
+                _ => assert_eq!(x, y, "{what}"),
+            }
+        }
     }
 }
 

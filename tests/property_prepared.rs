@@ -3,10 +3,11 @@
 //! 1. **Prepared/text equivalence** — for random data and a family of
 //!    TPC-H-shaped range queries, executing via `prepare` + `query_bound`
 //!    is byte-identical (rows *and* work counters) to executing the
-//!    rendered text, with the fused kernel on or off.
-//! 2. **Kernel/interpreter equivalence** — the fused scan→filter→aggregate
-//!    kernel agrees with the interpreted pipeline bit for bit on the same
-//!    bound statement.
+//!    rendered text, with the batch-exec pipeline on or off.
+//! 2. **Kernel/interpreter equivalence** — the compiled aggregate fold
+//!    (the batch-exec pipeline's scan→filter→aggregate kernel, at 1, 2
+//!    and 4 workers) agrees bit for bit with the seed interpreter's
+//!    profile (`enable_batch_exec = off`) on the same bound statement.
 //! 3. **DDL invalidation** — a schema change broadcast through the
 //!    controller evicts cached plans on every backend; subsequent bound
 //!    reads replan instead of serving a stale access path.
@@ -57,9 +58,9 @@ fn rows_strategy() -> impl Strategy<Value = Vec<(i64, i64, f64, u8)>> {
 }
 
 /// The query family: `(statement with placeholders, parameter count)`.
-/// Covers the kernel's supported shape (single table, range + residual
-/// predicates, decomposable aggregates, GROUP BY) and its documented
-/// fallbacks (non-aggregated projection, DISTINCT).
+/// Covers the shape the aggregate drives itself (single table, range +
+/// residual predicates, decomposable aggregates, GROUP BY) and the
+/// streamed shapes (non-aggregated projection, DISTINCT).
 const FAMILY: &[(&str, usize)] = &[
     (
         "select sum(l_quantity) as s from lineitem \
@@ -93,8 +94,8 @@ const FAMILY: &[(&str, usize)] = &[
          where l_orderkey >= $1 and l_orderkey < $2 and l_quantity > $3",
         3,
     ),
-    // Kernel fallback shapes: the interpreter must serve these through the
-    // same cached-plan seam.
+    // Streamed shapes: scan → filter → project must serve these through
+    // the same cached-plan seam.
     (
         "select l_orderkey, l_quantity from lineitem \
          where l_orderkey >= $1 and l_orderkey < $2 and l_quantity > $3 \
@@ -134,12 +135,12 @@ proptest! {
         lo in 0i64..400,
         width in 1i64..400,
         qty in 0i64..100,
-        kernel_off in any::<bool>(),
+        batch_off in any::<bool>(),
     ) {
         let (template, n_params) = FAMILY[query_idx];
         let db = lineitem_db(&rows);
-        if kernel_off {
-            db.query("set enable_kernel = off").unwrap();
+        if batch_off {
+            db.query("set enable_batch_exec = off").unwrap();
         }
         let params = params_for(n_params, lo, lo + width, qty);
         let text = render(template, &params);
@@ -162,9 +163,10 @@ proptest! {
         );
     }
 
-    /// The fused kernel and the interpreted pipeline agree bit for bit on
-    /// every bound statement (the kernel silently falls back on shapes it
-    /// does not support, so every family member must hold).
+    /// The compiled aggregate fold and the interpreter profile agree bit
+    /// for bit on every bound statement, at every worker count (shapes the
+    /// fold does not drive run the same streamed operators either way, so
+    /// every family member must hold).
     #[test]
     fn kernel_equals_interpreter_byte_for_byte(
         rows in rows_strategy(),
@@ -172,13 +174,16 @@ proptest! {
         lo in 0i64..400,
         width in 1i64..400,
         qty in 0i64..100,
+        workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let (template, n_params) = FAMILY[query_idx];
         let db = lineitem_db(&rows);
         let params = params_for(n_params, lo, lo + width, qty);
 
+        db.query(&format!("set parallel_workers = {workers}")).unwrap();
         let kernel = db.query_bound(template, &params).unwrap();
-        db.query("set enable_kernel = off").unwrap();
+        db.query("set enable_batch_exec = off").unwrap();
+        db.query("set parallel_workers = 1").unwrap();
         let interpreted = db.query_bound(template, &params).unwrap();
 
         prop_assert_eq!(&kernel.columns, &interpreted.columns);
@@ -186,6 +191,7 @@ proptest! {
         prop_assert_eq!(kernel.stats.rows_scanned, interpreted.stats.rows_scanned);
         prop_assert_eq!(kernel.stats.cpu_tuple_ops, interpreted.stats.cpu_tuple_ops);
         prop_assert_eq!(kernel.stats.index_probes, interpreted.stats.index_probes);
+        prop_assert_eq!(kernel.stats.scan_batches, interpreted.stats.scan_batches);
         prop_assert_eq!(
             kernel.stats.buffer.accesses(),
             interpreted.stats.buffer.accesses()
