@@ -24,6 +24,12 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 timeout "$BUILD_TIMEOUT" cargo build --release
 timeout "$BUILD_TIMEOUT" cargo test -q
 
+# The ablation binary asserts its own invariants: degraded and rejoined
+# answers byte-identical to the healthy run (fault and rejoin arms),
+# reassignment never free. Its CSVs land in target/figures.
+echo "== ablation: simulator tables with self-asserting identity arms =="
+APUAMA_SF=0.01 timeout "$SUITE_TIMEOUT" cargo run --release -p apuama-bench --bin ablation
+
 echo "== bench_smoke: prepared-plan micro arm =="
 timeout "$SUITE_TIMEOUT" cargo bench -p apuama-bench --bench prepared -- 100
 cat BENCH_prepared.json

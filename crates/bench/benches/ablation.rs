@@ -1,6 +1,6 @@
 //! Criterion ablations of the design knobs (DESIGN.md §5): optimizer
-//! interference, SVP vs baseline, consistency-mode gate overhead, and
-//! load-balancer policy cost.
+//! interference, SVP vs baseline, consistency-mode gate overhead,
+//! load-balancer policy cost, and composer pooling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -100,14 +100,13 @@ criterion_group!(
     balancer_cost
 );
 
-// Appended: composer strategy ablation (DESIGN.md §5, candidate 4).
+// Composer ablation (DESIGN.md §5): a fresh staging engine per query vs
+// the pooled staging table the engine reuses across same-schema queries.
 mod composer_ablation {
     use super::*;
-    use apuama::{
-        compose, Composer, DataCatalog, ReusableComposer, Rewritten, StreamingComposer, SvpRewriter,
-    };
+    use apuama::{compose, DataCatalog, ReusableComposer, Rewritten, SvpRewriter};
 
-    pub fn composer_strategies(c: &mut Criterion) {
+    pub fn composer_pooling(c: &mut Criterion) {
         let rewriter = SvpRewriter::new(DataCatalog::tpch(1_000_000));
         let Rewritten::Svp(plan) = rewriter
             .rewrite(
@@ -144,28 +143,10 @@ mod composer_ablation {
             pooled.compose(&plan, &partials).unwrap();
             b.iter(|| pooled.compose(black_box(&plan), &partials).unwrap())
         });
-        group.bench_function("streaming_fold", |b| {
-            let mut composer = StreamingComposer::new();
-            // Prime once: steady state reuses the residual-statement pool.
-            drive(&mut composer, &plan, &partials);
-            b.iter(|| drive(black_box(&mut composer), &plan, &partials))
-        });
         group.finish();
-    }
-
-    fn drive(
-        composer: &mut StreamingComposer,
-        plan: &apuama::SvpPlan,
-        partials: &[apuama_engine::QueryOutput],
-    ) -> apuama::Composed {
-        composer.begin(plan).unwrap();
-        for (i, p) in partials.iter().enumerate() {
-            composer.accept(i, p.clone()).unwrap();
-        }
-        composer.finish().unwrap()
     }
 }
 
-criterion_group!(composer, composer_ablation::composer_strategies);
+criterion_group!(composer, composer_ablation::composer_pooling);
 
 criterion_main!(ablations, composer);

@@ -7,17 +7,15 @@
 //! 3. **Consistency cost** — read-only vs mixed workload at a fixed size.
 //! 4. **SVP vs AVP** — static partitions vs adaptive chunks + stealing.
 //! 5. **Load-balancer policy** — pass-through read balancing arms.
-//! 6. **Composer strategy** — staged (HSQLDB-style staging table) vs the
-//!    streaming composer that folds partials as they arrive.
-//! 7. **Fault tolerance** — one node failing all of its SVP sub-queries;
+//! 6. **Fault tolerance** — one node failing all of its SVP sub-queries;
 //!    the failed range is detected, retried, and reassigned to a survivor.
 //!    Answers must stay byte-identical; the table prices the slowdown.
-//! 8. **Recovery & rejoin** — a node misses a write burst while down, the
+//! 7. **Recovery & rejoin** — a node misses a write burst while down, the
 //!    cluster runs degraded, then the recovery log replays the missed
 //!    suffix (live rounds + a final drain under the write pause) and the
 //!    node re-enters rotation. The table compares healthy, degraded, and
 //!    post-rejoin makespans and prices the rejoin itself.
-//! 9. **Resource governance under overload** — an open-loop arrival storm
+//! 8. **Resource governance under overload** — an open-loop arrival storm
 //!    at ~4× the cluster's service rate, with and without admission
 //!    control. Ungoverned, every query completes but the backlog (and the
 //!    tail latency) grows with the storm; governed, excess arrivals are
@@ -163,7 +161,6 @@ fn main() {
 
     svp_vs_avp(&cfg, &data, n);
     balancer_policies(&cfg, &data, n);
-    composer_strategies(&cfg, &data, n);
     fault_tolerance(&cfg, &data, n);
     recovery_rejoin(&cfg, &data, n);
     overload_governance(&cfg, &data, n);
@@ -274,90 +271,14 @@ fn balancer_policies(cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize
         .expect("csv writable");
 }
 
-/// Ablation 6 — staged vs streaming result composition over all eight
-/// evaluation queries and two node profiles. The same partial results are
-/// priced through both strategies, so the comparison isolates the
-/// composition timeline; the final rows are asserted byte-identical, which
-/// is the correctness contract the streaming composer maintains.
-fn composer_strategies(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize) {
-    use apuama::{ComposerStrategy, Rewritten};
-
-    let mut t6 = FigureTable::new(
-        format!("Ablation 6 — staged vs streaming result composition, {n} nodes"),
-        &[
-            "query",
-            "profile",
-            "staged",
-            "streaming",
-            "streaming/staged",
-        ],
-    );
-    let params = QueryParams::default();
-    let mut staged_cfg = SimClusterConfig::paper(n);
-    staged_cfg.composer = ComposerStrategy::Staged;
-    let staged_cluster = SimCluster::new(data, staged_cfg).expect("cluster builds");
-    let mut streaming_cfg = SimClusterConfig::paper(n);
-    streaming_cfg.composer = ComposerStrategy::Streaming;
-    let streaming_cluster = SimCluster::new(data, streaming_cfg).expect("cluster builds");
-    for q in apuama_tpch::ALL_QUERIES {
-        let sql = q.sql(&params);
-        let Rewritten::Svp(plan) = staged_cluster.rewrite(&sql).expect("parses") else {
-            panic!("{} must be eligible", q.label());
-        };
-        // One execution of the sub-queries; both strategies then price the
-        // identical partial set.
-        staged_cluster.drop_caches();
-        let mut partials = Vec::with_capacity(n);
-        let mut durs = Vec::with_capacity(n);
-        for (node, sub) in plan.subqueries.iter().enumerate() {
-            let (out, ms) = staged_cluster.exec_subquery(node, sub).expect("subquery");
-            partials.push(out);
-            durs.push(ms);
-        }
-        for (profile, factor) in [("uniform", 1.0f64), ("straggler", 5.0)] {
-            let mut finish = durs.clone();
-            finish[0] *= factor;
-            let staged = staged_cluster
-                .compose_timed(&plan, &partials, &finish)
-                .expect("staged compose");
-            let streaming = streaming_cluster
-                .compose_timed(&plan, &partials, &finish)
-                .expect("streaming compose");
-            assert_eq!(
-                staged.output.rows,
-                streaming.output.rows,
-                "{} {profile}: strategies must agree byte-for-byte",
-                q.label()
-            );
-            assert!(
-                streaming.done_ms <= staged.done_ms,
-                "{} {profile}: streaming {}ms must not lose to staged {}ms",
-                q.label(),
-                streaming.done_ms,
-                staged.done_ms
-            );
-            t6.push_row(vec![
-                q.label(),
-                profile.into(),
-                fmt_ms(staged.done_ms),
-                fmt_ms(streaming.done_ms),
-                fmt_ratio(streaming.done_ms / staged.done_ms),
-            ]);
-        }
-    }
-    t6.print();
-    t6.write_csv("ablation_composer_strategy")
-        .expect("csv writable");
-}
-
-/// Ablation 7 — degraded-mode SVP: node 0 fails every sub-query it is
+/// Ablation 6 — degraded-mode SVP: node 0 fails every sub-query it is
 /// handed, the failure is detected after the configured retries, and the
 /// orphaned VPA range is re-executed on the least-loaded survivor. The
 /// answer must not change — only the makespan may. The ratio column is the
 /// price of losing one node mid-query.
 fn fault_tolerance(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize) {
-    let mut t7 = FigureTable::new(
-        format!("Ablation 7 — fault tolerance: node 0 dead mid-query, {n} nodes"),
+    let mut t6 = FigureTable::new(
+        format!("Ablation 6 — fault tolerance: node 0 dead mid-query, {n} nodes"),
         &["query", "healthy", "degraded", "degraded/healthy"],
     );
     let params = QueryParams::default();
@@ -388,19 +309,19 @@ fn fault_tolerance(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize)
             h.makespan_ms,
             d.makespan_ms
         );
-        t7.push_row(vec![
+        t6.push_row(vec![
             q.label(),
             fmt_ms(h.makespan_ms),
             fmt_ms(d.makespan_ms),
             fmt_ratio(d.makespan_ms / h.makespan_ms),
         ]);
     }
-    t7.print();
-    t7.write_csv("ablation_fault_tolerance")
+    t6.print();
+    t6.write_csv("ablation_fault_tolerance")
         .expect("csv writable");
 }
 
-/// Ablation 8 — recovery & rejoin: node 0 is down while a refresh burst
+/// Ablation 7 — recovery & rejoin: node 0 is down while a refresh burst
 /// lands on the survivors, the cluster answers queries degraded (node 0's
 /// ranges reassigned), then the missed suffix is replayed — live rounds
 /// first, the tail under the write pause — and node 0 re-enters rotation.
@@ -408,8 +329,8 @@ fn fault_tolerance(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize)
 /// columns price running one node short, and the replay cost line prices
 /// the rejoin itself.
 fn recovery_rejoin(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize) {
-    let mut t8 = FigureTable::new(
-        format!("Ablation 8 — recovery & rejoin: node 0 down for a write burst, {n} nodes"),
+    let mut t7 = FigureTable::new(
+        format!("Ablation 7 — recovery & rejoin: node 0 down for a write burst, {n} nodes"),
         &[
             "query",
             "healthy",
@@ -487,7 +408,7 @@ fn recovery_rejoin(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize)
             r.makespan_ms,
             d.makespan_ms
         );
-        t8.push_row(vec![
+        t7.push_row(vec![
             q.label(),
             fmt_ms(h.makespan_ms),
             fmt_ms(d.makespan_ms),
@@ -495,7 +416,7 @@ fn recovery_rejoin(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize)
             fmt_ratio(d.makespan_ms / h.makespan_ms),
         ]);
     }
-    t8.print();
+    t7.print();
     println!(
         "rejoin replay: {} scripts, live {} + pause {} = {} total",
         cost.replayed,
@@ -503,11 +424,11 @@ fn recovery_rejoin(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize)
         fmt_ms(cost.pause_ms),
         fmt_ms(cost.total_ms())
     );
-    t8.write_csv("ablation_recovery_rejoin")
+    t7.write_csv("ablation_recovery_rejoin")
         .expect("csv writable");
 }
 
-/// Ablation 9 — admission control under an open-loop arrival storm
+/// Ablation 8 — admission control under an open-loop arrival storm
 /// (DESIGN.md §11). Arrivals land at ~4× the cluster's isolated service
 /// rate; the governed arm admits at most `2 × servers_per_node` queries
 /// with a short bounded queue and sheds the rest. The claim being priced:
@@ -532,8 +453,8 @@ fn overload_governance(cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usi
     }
     mean_ms /= apuama_tpch::ALL_QUERIES.len() as f64;
 
-    let mut t9 = FigureTable::new(
-        format!("Ablation 9 — admission control under a 4x open-loop storm, {n} nodes"),
+    let mut t8 = FigureTable::new(
+        format!("Ablation 8 — admission control under a 4x open-loop storm, {n} nodes"),
         &[
             "arm",
             "submitted",
@@ -559,7 +480,7 @@ fn overload_governance(cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usi
     let ungoverned = run_overload(&cluster, storm(None)).expect("ungoverned storm");
     let governed = run_overload(&cluster, storm(Some(governance))).expect("governed storm");
     for (name, r) in [("ungoverned", &ungoverned), ("governed", &governed)] {
-        t9.push_row(vec![
+        t8.push_row(vec![
             name.into(),
             r.submitted.to_string(),
             r.completed.to_string(),
@@ -581,7 +502,7 @@ fn overload_governance(cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usi
         governed.p99_ms(),
         ungoverned.p99_ms()
     );
-    t9.print();
-    t9.write_csv("ablation_overload_governance")
+    t8.print();
+    t8.write_csv("ablation_overload_governance")
         .expect("csv writable");
 }

@@ -12,13 +12,11 @@
 //! simulator can price the composition step (the paper measures it at under
 //! a second even for large partials).
 
-use std::collections::HashMap;
-
 use apuama_engine::{Database, EngineError, EngineResult, ExecStats, QueryOutput};
-use apuama_sql::{HashableValue, Value};
+use apuama_sql::Value;
 use apuama_storage::Row;
 
-use crate::rewrite::{ComposeSpec, FoldFn, SvpPlan, PARTIALS_TABLE};
+use crate::rewrite::{SvpPlan, PARTIALS_TABLE};
 
 /// Result of composing partial outputs.
 #[derive(Debug, Clone)]
@@ -50,23 +48,80 @@ fn infer_type(rows: &[&Row], col: usize) -> &'static str {
     "text"
 }
 
-/// Loads the partial outputs into an in-memory staging table and runs the
-/// plan's composition query.
+/// Loads the partial outputs into a fresh in-memory staging table and runs
+/// the plan's composition query.
 pub fn compose(plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
+    ReusableComposer::new().compose(plan, partials)
+}
+
+/// A composer that keeps its in-memory engine and staging table alive
+/// across queries whose staging DDL matches, truncating the table instead
+/// of rebuilding the engine — the "connection-pooled HSQLDB" variant of
+/// the paper's design (DESIGN.md §5). [`ApuamaEngine`](crate::ApuamaEngine)
+/// holds one and composes every SVP query through it, once, after the last
+/// partial landed.
+///
+/// A reused staging table is truncated (fresh heap, cold pages) before the
+/// reload, so every composition — rows, `partial_rows` and
+/// `composition_stats` — is byte-identical to the one-shot [`compose`].
+#[derive(Default)]
+pub struct ReusableComposer {
+    /// The staging `CREATE TABLE` statement and the engine it was run on;
+    /// `None` until first use, or after a failed rebuild.
+    staged: Option<(String, Database)>,
+}
+
+impl ReusableComposer {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stages `partials` (in slice order) and runs the composition query.
+    /// Reuses the staging table when the DDL — column names and inferred
+    /// types — matches the previous call; otherwise starts a fresh engine
+    /// (our dialect has no DROP TABLE, and a new in-memory instance is
+    /// equivalent and cheap).
+    pub fn compose(&mut self, plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
+        let (ddl, rows) = staging(plan, partials)?;
+        let staged = match self.staged.take() {
+            Some((staged_ddl, mut mem)) if staged_ddl == ddl => {
+                mem.truncate_table(PARTIALS_TABLE)?;
+                (staged_ddl, mem)
+            }
+            _ => {
+                let mut mem = Database::in_memory();
+                mem.execute(&ddl)?;
+                (ddl, mem)
+            }
+        };
+        let (_, mem) = self.staged.insert(staged);
+        let partial_rows = rows.len() as u64;
+        mem.load_table(PARTIALS_TABLE, rows)?;
+        let mut output = mem.query(&plan.composition_sql)?;
+        let composition_stats = output.stats;
+        output.stats = ExecStats::default();
+        Ok(Composed {
+            output,
+            composition_stats,
+            partial_rows,
+        })
+    }
+}
+
+/// Checks every partial row against the plan's arity and returns the
+/// staging table's `CREATE TABLE` statement (types inferred from the rows)
+/// plus the rows to stage, partial by partial.
+fn staging(plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<(String, Vec<Row>)> {
     let arity = plan.partial_columns.len();
     for (i, p) in partials.iter().enumerate() {
-        for row in &p.rows {
-            if row.len() != arity {
-                return Err(EngineError::Constraint(format!(
-                    "partial result {i} has arity {} but the plan expects {arity}",
-                    row.len()
-                )));
-            }
+        if let Some(row) = p.rows.iter().find(|r| r.len() != arity) {
+            return Err(EngineError::Constraint(format!(
+                "partial result {i} has arity {} but the plan expects {arity}",
+                row.len()
+            )));
         }
     }
     let all_rows: Vec<&Row> = partials.iter().flat_map(|p| p.rows.iter()).collect();
-
-    let mut mem = Database::in_memory();
     let columns_ddl = plan
         .partial_columns
         .iter()
@@ -74,21 +129,8 @@ pub fn compose(plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Compose
         .map(|(i, name)| format!("{name} {}", infer_type(&all_rows, i)))
         .collect::<Vec<_>>()
         .join(", ");
-    mem.execute(&format!("create table {PARTIALS_TABLE} ({columns_ddl})"))?;
-    let partial_rows = all_rows.len() as u64;
-    mem.load_table(
-        PARTIALS_TABLE,
-        all_rows.into_iter().cloned().collect::<Vec<Row>>(),
-    )?;
-
-    let mut output = mem.query(&plan.composition_sql)?;
-    let composition_stats = output.stats;
-    output.stats = ExecStats::default();
-    Ok(Composed {
-        output,
-        composition_stats,
-        partial_rows,
-    })
+    let ddl = format!("create table {PARTIALS_TABLE} ({columns_ddl})");
+    Ok((ddl, all_rows.into_iter().cloned().collect()))
 }
 
 #[cfg(test)]
@@ -258,900 +300,20 @@ mod tests {
             rows: vec![vec![Value::Int(1), Value::Int(2)]],
             ..QueryOutput::default()
         };
-        assert!(compose(&plan, &[bad]).is_err());
-    }
-}
-
-/// A composer that keeps its in-memory engine and staging table alive
-/// across queries of the same shape, clearing rows instead of rebuilding
-/// schema — the "connection-pooled HSQLDB" variant of the paper's design
-/// (DESIGN.md §5, ablation candidate 4). For repeated OLAP queries this
-/// trades one `DELETE` for a `CREATE TABLE` + loader per composition.
-pub struct ReusableComposer {
-    mem: Database,
-    /// The staging schema currently materialized (column names); `None`
-    /// until first use.
-    staged_columns: Option<Vec<String>>,
-}
-
-impl Default for ReusableComposer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReusableComposer {
-    pub fn new() -> Self {
-        ReusableComposer {
-            mem: Database::in_memory(),
-            staged_columns: None,
-        }
-    }
-
-    /// Composes like [`compose`], reusing the staging table when the
-    /// partial schema matches the previous call. Falls back to a fresh
-    /// engine when the shape changes (different query template).
-    pub fn compose(&mut self, plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
-        let arity = plan.partial_columns.len();
-        for (i, p) in partials.iter().enumerate() {
-            for row in &p.rows {
-                if row.len() != arity {
-                    return Err(EngineError::Constraint(format!(
-                        "partial result {i} has arity {} but the plan expects {arity}",
-                        row.len()
-                    )));
-                }
-            }
-        }
-        let all_rows: Vec<&Row> = partials.iter().flat_map(|p| p.rows.iter()).collect();
-        let reuse = self.staged_columns.as_ref() == Some(&plan.partial_columns);
-        if reuse {
-            self.mem.execute(&format!("delete from {PARTIALS_TABLE}"))?;
-        } else {
-            // Shape changed: start a fresh engine (our dialect has no DROP
-            // TABLE — a fresh in-memory instance is equivalent and cheap).
-            self.mem = Database::in_memory();
-            let columns_ddl = plan
-                .partial_columns
-                .iter()
-                .enumerate()
-                .map(|(i, name)| format!("{name} {}", infer_type(&all_rows, i)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            self.mem
-                .execute(&format!("create table {PARTIALS_TABLE} ({columns_ddl})"))?;
-            self.staged_columns = Some(plan.partial_columns.clone());
-        }
-        let partial_rows = all_rows.len() as u64;
-        // Row-wise inserts through the table API (bulk_load requires an
-        // empty heap; after a reuse-DELETE the heap may hold tombstones).
-        let staged: Vec<Row> = all_rows.into_iter().cloned().collect();
-        self.mem.append_rows(PARTIALS_TABLE, staged)?;
-        let mut output = self.mem.query(&plan.composition_sql)?;
-        let composition_stats = output.stats;
-        output.stats = ExecStats::default();
-        Ok(Composed {
-            output,
-            composition_stats,
-            partial_rows,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental composition
-// ---------------------------------------------------------------------------
-
-/// Which Result Composer implementation the engine pipelines partials into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ComposerStrategy {
-    /// Buffer every partial row, then stage + compose once at the end (the
-    /// original HSQLDB-style path, pooled across queries).
-    Staged,
-    /// Fold each partial into running per-group state as it arrives;
-    /// composition work overlaps the still-running sub-queries and the
-    /// final query runs over one folded row per group.
-    #[default]
-    Streaming,
-}
-
-impl ComposerStrategy {
-    /// Builds a fresh composer for this strategy.
-    pub fn new_composer(self) -> Box<dyn Composer + Send> {
-        match self {
-            ComposerStrategy::Staged => Box::new(StagedComposer::new()),
-            ComposerStrategy::Streaming => Box::new(StreamingComposer::new()),
-        }
-    }
-}
-
-/// Incremental result composition: `begin(plan)` → `accept(node, partial)`
-/// per arriving partial → `finish()`.
-///
-/// Implementations key all state on the *node index*, never on arrival
-/// order, so the composed result is a function of the per-node partial
-/// sequences alone — sub-queries may complete in any interleaving and the
-/// output (rows, ordering, floating-point bit patterns) does not change.
-pub trait Composer {
-    /// Starts a new composition for `plan`, discarding any prior state.
-    fn begin(&mut self, plan: &SvpPlan) -> EngineResult<()>;
-    /// Feeds one partial result produced by `node`. A node may contribute
-    /// several partials (AVP chunks); their relative order is the node's
-    /// own execution order.
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()>;
-    /// Feeds one partial result, re-chunking oversized row sets to the
-    /// engine's scan-batch grain ([`apuama_engine::SCAN_BATCH_ROWS`]) before
-    /// handing them to [`Composer::accept`]. The engine's operator pipeline
-    /// produces rows batch-at-a-time; consuming them at the same grain keeps
-    /// the composer's working set bounded per call. Composers key state on
-    /// the node index and fold partials in arrival order, so splitting one
-    /// partial into consecutive chunks composes the identical result. The
-    /// partial's stats are not forwarded — per-node statement stats are
-    /// recorded by the orchestrator before composition, and no composer
-    /// reads them from an accepted partial.
-    ///
-    /// Re-chunking moves each row exactly once into its chunk (no clone,
-    /// no per-row allocation); the compute-heavy half of composition — the
-    /// recombination query a staged composer runs over its scratch table —
-    /// executes through the embedded engine, where the compiled aggregate
-    /// fold transposes each scan batch into typed column vectors
-    /// (`enable_columnar`) rather than re-walking rows of boxed values.
-    fn accept_batched(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        if partial.rows.len() as u64 <= apuama_engine::SCAN_BATCH_ROWS {
-            return self.accept(node, partial);
-        }
-        let QueryOutput { columns, rows, .. } = partial;
-        let mut iter = rows.into_iter();
-        loop {
-            let chunk: Vec<Row> = iter
-                .by_ref()
-                .take(apuama_engine::SCAN_BATCH_ROWS as usize)
-                .collect();
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            self.accept(
-                node,
-                QueryOutput {
-                    columns: columns.clone(),
-                    rows: chunk,
-                    ..Default::default()
-                },
-            )?;
-        }
-    }
-    /// Completes the composition and returns the final result.
-    fn finish(&mut self) -> EngineResult<Composed>;
-    /// Abandons the in-progress composition, discarding staged partials.
-    /// Pooled composers live across queries, so every error path between
-    /// `begin()` and `finish()` must call this — otherwise the next query's
-    /// `begin()` is the only thing standing between it and stale state.
-    /// Must be callable at any point (idempotent, including before
-    /// `begin()`).
-    fn abort(&mut self);
-}
-
-/// Runs a full begin/accept/finish cycle over per-node partials (partial
-/// `i` attributed to node `i`) — the one-shot convenience the benches and
-/// tests use.
-pub fn compose_with(
-    strategy: ComposerStrategy,
-    plan: &SvpPlan,
-    partials: &[QueryOutput],
-) -> EngineResult<Composed> {
-    let mut composer = strategy.new_composer();
-    composer.begin(plan)?;
-    for (node, p) in partials.iter().enumerate() {
-        composer.accept(node, p.clone())?;
-    }
-    composer.finish()
-}
-
-fn arity_error(node: usize, got: usize, want: usize) -> EngineError {
-    EngineError::Constraint(format!(
-        "partial result from node {node} has arity {got} but the plan expects {want}"
-    ))
-}
-
-/// [`Composer`] port of the staging-table path: buffers partials per node
-/// and replays them node-major through the pooled [`ReusableComposer`] at
-/// `finish()`.
-pub struct StagedComposer {
-    pool: ReusableComposer,
-    plan: Option<SvpPlan>,
-    nodes: Vec<Vec<QueryOutput>>,
-}
-
-impl Default for StagedComposer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StagedComposer {
-    pub fn new() -> Self {
-        StagedComposer {
-            pool: ReusableComposer::new(),
-            plan: None,
-            nodes: Vec::new(),
-        }
-    }
-}
-
-impl Composer for StagedComposer {
-    fn begin(&mut self, plan: &SvpPlan) -> EngineResult<()> {
-        self.plan = Some(plan.clone());
-        self.nodes.clear();
-        Ok(())
-    }
-
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        let plan = self.plan.as_ref().expect("begin() before accept()");
-        let arity = plan.partial_columns.len();
-        if let Some(bad) = partial.rows.iter().find(|r| r.len() != arity) {
-            return Err(arity_error(node, bad.len(), arity));
-        }
-        if self.nodes.len() <= node {
-            self.nodes.resize_with(node + 1, Vec::new);
-        }
-        self.nodes[node].push(partial);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> EngineResult<Composed> {
-        let plan = self.plan.take().expect("begin() before finish()");
-        let flat: Vec<QueryOutput> = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .flatten()
-            .collect();
-        self.pool.compose(&plan, &flat)
-    }
-
-    fn abort(&mut self) {
-        self.plan = None;
-        self.nodes.clear();
-    }
-}
-
-/// Accumulator for one re-aggregated partial column within one group.
-///
-/// Mirrors the engine executor's aggregate accumulator exactly — same NULL
-/// skipping, same int/float dual tracking with `wrapping_add`, same
-/// `sql_cmp`-based min/max — so folding partials here and then running the
-/// composition query over the folded rows produces bit-identical results
-/// to staging every raw partial row.
-#[derive(Debug, Clone)]
-enum FoldAcc {
-    Sum {
-        int: i64,
-        float: f64,
-        any_float: bool,
-        n: i64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl FoldAcc {
-    fn new(fold: FoldFn) -> FoldAcc {
-        match fold {
-            FoldFn::Sum => FoldAcc::Sum {
-                int: 0,
-                float: 0.0,
-                any_float: false,
-                n: 0,
-            },
-            FoldFn::Min => FoldAcc::Min(None),
-            FoldFn::Max => FoldAcc::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: &Value) -> EngineResult<()> {
-        match self {
-            FoldAcc::Sum {
-                int,
-                float,
-                any_float,
-                n,
-            } => {
-                if v.is_null() {
-                    return Ok(());
-                }
-                match v {
-                    Value::Int(i) => {
-                        *int = int.wrapping_add(*i);
-                        *float += *i as f64;
-                    }
-                    Value::Float(x) => {
-                        *any_float = true;
-                        *float += x;
-                    }
-                    other => return Err(EngineError::TypeError(format!("sum() over {other}"))),
-                }
-                *n += 1;
-            }
-            FoldAcc::Min(cur) => {
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Less),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            FoldAcc::Max(cur) => {
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Greater),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds another accumulator into this one (cross-node reduction, in
-    /// node-index order).
-    fn absorb(&mut self, other: &FoldAcc) -> EngineResult<()> {
-        match (self, other) {
-            (
-                FoldAcc::Sum {
-                    int,
-                    float,
-                    any_float,
-                    n,
-                },
-                FoldAcc::Sum {
-                    int: oi,
-                    float: of,
-                    any_float: oa,
-                    n: on,
-                },
-            ) => {
-                *int = int.wrapping_add(*oi);
-                *float += of;
-                *any_float |= oa;
-                *n += on;
-                Ok(())
-            }
-            (acc @ (FoldAcc::Min(_) | FoldAcc::Max(_)), FoldAcc::Min(v) | FoldAcc::Max(v)) => {
-                if let Some(v) = v {
-                    acc.update(v)?;
-                }
-                Ok(())
-            }
-            _ => unreachable!("fold shapes come from the same plan"),
-        }
-    }
-
-    fn finalize(&self) -> Value {
-        match self {
-            FoldAcc::Sum {
-                int,
-                float,
-                any_float,
-                n,
-            } => {
-                if *n == 0 {
-                    Value::Null
-                } else if *any_float {
-                    Value::Float(*float)
-                } else {
-                    Value::Int(*int)
-                }
-            }
-            FoldAcc::Min(v) | FoldAcc::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Per-group folded state: first-seen group-key values plus one
-/// accumulator per aggregate column.
-#[derive(Debug, Clone)]
-struct FoldGroup {
-    keys: Vec<Value>,
-    accs: Vec<FoldAcc>,
-}
-
-/// One node's running fold, groups in first-seen order (which is what the
-/// engine's hash aggregation reports, so the final composition sees groups
-/// in the same order the staged path would).
-#[derive(Debug, Default)]
-struct NodeFold {
-    index: HashMap<Vec<HashableValue>, usize>,
-    groups: Vec<FoldGroup>,
-}
-
-impl NodeFold {
-    fn fold_row(&mut self, group_cols: usize, folds: &[FoldFn], row: &Row) -> EngineResult<()> {
-        let key: Vec<HashableValue> = row[..group_cols].iter().map(Value::hash_key).collect();
-        let gi = match self.index.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                self.groups.push(FoldGroup {
-                    keys: row[..group_cols].to_vec(),
-                    accs: folds.iter().map(|&f| FoldAcc::new(f)).collect(),
-                });
-                self.index.insert(key, self.groups.len() - 1);
-                self.groups.len() - 1
-            }
-        };
-        let group = &mut self.groups[gi];
-        for (acc, v) in group.accs.iter_mut().zip(&row[group_cols..]) {
-            acc.update(v)?;
-        }
-        Ok(())
-    }
-}
-
-/// Streaming state, chosen at `begin()` from the plan's [`ComposeSpec`].
-enum StreamState {
-    Idle,
-    /// Aggregated query: group-wise fold per node.
-    Reagg {
-        group_cols: usize,
-        folds: Vec<FoldFn>,
-        nodes: Vec<NodeFold>,
-    },
-    /// Plain union: buffer rows tagged `(node, seq)`, pruning to the top
-    /// `limit` under the ORDER BY comparator when both are available.
-    Union {
-        /// ORDER BY keys as partial-column indices; `None` disables the
-        /// cutoff (un-analyzable ORDER BY expression).
-        order: Option<Vec<(usize, bool)>>,
-        limit: Option<u64>,
-        rows: Vec<(usize, u64, Row)>,
-        /// Per-node row sequence counters.
-        seqs: Vec<u64>,
-    },
-}
-
-/// The streaming Result Composer: folds partial rows into per-node,
-/// per-group accumulators as they arrive, reduces across nodes in node
-/// order at `finish()`, and runs the plan's composition query over the
-/// folded rows (one per group) so HAVING / ORDER BY / LIMIT / output
-/// expressions get exactly the engine's semantics.
-///
-/// For non-aggregated queries with `ORDER BY … LIMIT k` over output
-/// columns, arriving rows are cut off at the global top `k` (stable
-/// comparator: ORDER BY keys via `Value::sort_cmp`, then `(node, seq)` —
-/// the same tie-break a stable sort over the staging table gives), so
-/// memory stays `O(k)` instead of `O(total partial rows)`.
-pub struct StreamingComposer {
-    /// The final mini-composition reuses the pooled staging machinery —
-    /// folded rows form a tiny `svp_partials` table.
-    pool: ReusableComposer,
-    plan: Option<SvpPlan>,
-    state: StreamState,
-    accepted_rows: u64,
-}
-
-impl Default for StreamingComposer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamingComposer {
-    pub fn new() -> Self {
-        StreamingComposer {
-            pool: ReusableComposer::new(),
-            plan: None,
-            state: StreamState::Idle,
-            accepted_rows: 0,
-        }
-    }
-
-    /// Inserts a row into the pruned union buffer, keeping `rows` sorted by
-    /// (ORDER BY keys, node, seq) and truncated to `limit`.
-    fn union_insert(
-        rows: &mut Vec<(usize, u64, Row)>,
-        keys: &[(usize, bool)],
-        limit: usize,
-        entry: (usize, u64, Row),
-    ) {
-        let cmp = |a: &(usize, u64, Row), b: &(usize, u64, Row)| {
-            for &(col, desc) in keys {
-                let ord = a.2[col].sort_cmp(&b.2[col]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            (a.0, a.1).cmp(&(b.0, b.1))
-        };
-        let pos = rows
-            .binary_search_by(|probe| cmp(probe, &entry))
-            .unwrap_or_else(|p| p);
-        if pos >= limit {
-            return;
-        }
-        rows.insert(pos, entry);
-        rows.truncate(limit);
-    }
-}
-
-impl Composer for StreamingComposer {
-    fn begin(&mut self, plan: &SvpPlan) -> EngineResult<()> {
-        self.state = match &plan.compose {
-            ComposeSpec::Reaggregate { group_cols, folds } => StreamState::Reagg {
-                group_cols: *group_cols,
-                folds: folds.clone(),
-                nodes: Vec::new(),
-            },
-            ComposeSpec::Union { order, limit } => StreamState::Union {
-                order: order.clone(),
-                limit: *limit,
-                rows: Vec::new(),
-                seqs: Vec::new(),
-            },
-        };
-        self.plan = Some(plan.clone());
-        self.accepted_rows = 0;
-        Ok(())
-    }
-
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        let plan = self.plan.as_ref().expect("begin() before accept()");
-        let arity = plan.partial_columns.len();
-        if let Some(bad) = partial.rows.iter().find(|r| r.len() != arity) {
-            return Err(arity_error(node, bad.len(), arity));
-        }
-        self.accepted_rows += partial.rows.len() as u64;
-        match &mut self.state {
-            StreamState::Idle => panic!("begin() before accept()"),
-            StreamState::Reagg {
-                group_cols,
-                folds,
-                nodes,
-            } => {
-                if nodes.len() <= node {
-                    nodes.resize_with(node + 1, NodeFold::default);
-                }
-                for row in &partial.rows {
-                    nodes[node].fold_row(*group_cols, folds, row)?;
-                }
-            }
-            StreamState::Union {
-                order,
-                limit,
-                rows,
-                seqs,
-            } => {
-                if seqs.len() <= node {
-                    seqs.resize(node + 1, 0);
-                }
-                let cutoff = match (&order, limit) {
-                    (Some(keys), Some(k)) => Some((keys.clone(), *k as usize)),
-                    _ => None,
-                };
-                for row in partial.rows {
-                    let seq = seqs[node];
-                    seqs[node] += 1;
-                    match &cutoff {
-                        Some((keys, k)) => Self::union_insert(rows, keys, *k, (node, seq, row)),
-                        None => rows.push((node, seq, row)),
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> EngineResult<Composed> {
-        let plan = self.plan.take().expect("begin() before finish()");
-        let folded: Vec<Row> = match std::mem::replace(&mut self.state, StreamState::Idle) {
-            StreamState::Idle => panic!("begin() before finish()"),
-            StreamState::Reagg {
-                group_cols: _,
-                folds: _,
-                nodes,
-            } => {
-                // Cross-node reduction in node-index order; group output
-                // order is global first-seen order, matching the staged
-                // path's hash aggregation over node-major staging rows.
-                let mut index: HashMap<Vec<HashableValue>, usize> = HashMap::new();
-                let mut merged: Vec<FoldGroup> = Vec::new();
-                for node in nodes {
-                    for group in node.groups {
-                        let key: Vec<HashableValue> =
-                            group.keys.iter().map(Value::hash_key).collect();
-                        match index.get(&key) {
-                            Some(&gi) => {
-                                let target = &mut merged[gi];
-                                for (acc, other) in target.accs.iter_mut().zip(&group.accs) {
-                                    acc.absorb(other)?;
-                                }
-                            }
-                            None => {
-                                index.insert(key, merged.len());
-                                merged.push(group);
-                            }
-                        }
-                    }
-                }
-                merged
-                    .into_iter()
-                    .map(|g| {
-                        let mut row = g.keys;
-                        row.extend(g.accs.iter().map(FoldAcc::finalize));
-                        row
-                    })
-                    .collect()
-            }
-            StreamState::Union { mut rows, .. } => {
-                // Restore staging insertion order (node-major, per-node
-                // sequence); the composition query re-applies ORDER BY.
-                rows.sort_by_key(|(node, seq, _)| (*node, *seq));
-                rows.into_iter().map(|(_, _, row)| row).collect()
-            }
-        };
-        let folded_output = QueryOutput {
+        assert!(compose(&plan, std::slice::from_ref(&bad)).is_err());
+        // The pooled composer rejects it too, and stays usable afterwards.
+        let mut pooled = ReusableComposer::new();
+        assert!(pooled.compose(&plan, &[bad]).is_err());
+        let good = QueryOutput {
             columns: plan.partial_columns.clone(),
-            rows: folded,
+            rows: vec![vec![Value::Float(1.5)], vec![Value::Float(2.0)]],
             ..QueryOutput::default()
         };
-        let mut composed = self.pool.compose(&plan, &[folded_output])?;
-        // Report rows *accepted*, not rows staged after folding — callers
-        // use this as "partial rows shipped to the composer".
-        composed.partial_rows = self.accepted_rows;
-        Ok(composed)
-    }
-
-    fn abort(&mut self) {
-        self.plan = None;
-        self.state = StreamState::Idle;
-        self.accepted_rows = 0;
-    }
-}
-
-#[cfg(test)]
-mod incremental_tests {
-    use super::*;
-    use crate::catalog::DataCatalog;
-    use crate::rewrite::{Rewritten, SvpRewriter};
-
-    fn replica() -> Database {
-        let mut db = Database::in_memory();
-        db.execute(
-            "create table orders (o_orderkey int not null, o_totalprice float, \
-             o_orderpriority text, primary key (o_orderkey)) clustered by (o_orderkey)",
-        )
-        .unwrap();
-        for k in 1..=100i64 {
-            db.execute(&format!(
-                "insert into orders values ({k}, {}.5, '{}')",
-                k * 10,
-                if k % 2 == 0 { "1-URGENT" } else { "5-LOW" }
-            ))
-            .unwrap();
-        }
-        db
-    }
-
-    fn plan_and_partials(sql: &str, n: usize) -> (SvpPlan, Vec<QueryOutput>) {
-        let rewriter = SvpRewriter::new(DataCatalog::tpch(100));
-        let Rewritten::Svp(plan) = rewriter.rewrite(sql, n).unwrap() else {
-            panic!("expected SVP plan for {sql}");
-        };
-        let db = replica();
-        let partials = plan
-            .subqueries
-            .iter()
-            .map(|s| db.query(s).unwrap())
-            .collect();
-        (plan, partials)
-    }
-
-    const QUERIES: &[&str] = &[
-        "select sum(o_totalprice) as s from orders",
-        "select avg(o_totalprice) as a, count(*) as n from orders",
-        "select min(o_totalprice) as lo, max(o_totalprice) as hi from orders",
-        "select o_orderpriority, count(*) as n, sum(o_totalprice) as t from orders \
-         group by o_orderpriority order by o_orderpriority limit 2",
-        "select o_orderpriority, count(*) as n from orders group by o_orderpriority \
-         having count(*) > 30 order by o_orderpriority",
-        "select o_orderkey, o_totalprice from orders where o_totalprice > 900.0 \
-         order by o_orderkey",
-        "select o_orderkey, o_totalprice from orders where o_totalprice > 100.0 \
-         order by o_totalprice desc, o_orderkey limit 7",
-        "select o_orderkey from orders where o_totalprice > 980.0",
-    ];
-
-    #[test]
-    fn streaming_equals_staged_bit_for_bit() {
-        for sql in QUERIES {
-            for n in [1usize, 3, 5] {
-                let (plan, partials) = plan_and_partials(sql, n);
-                let staged = compose_with(ComposerStrategy::Staged, &plan, &partials).unwrap();
-                let streaming =
-                    compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
-                assert_eq!(streaming.output.columns, staged.output.columns, "{sql}");
-                assert_eq!(streaming.output.rows, staged.output.rows, "{sql} n={n}");
-                assert_eq!(streaming.partial_rows, staged.partial_rows, "{sql} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn arrival_order_does_not_change_the_result() {
-        for sql in QUERIES {
-            let (plan, partials) = plan_and_partials(sql, 4);
-            let baseline = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
-            // Reverse and interleave arrival orders.
-            for order in [vec![3usize, 2, 1, 0], vec![2, 0, 3, 1]] {
-                let mut composer = StreamingComposer::new();
-                composer.begin(&plan).unwrap();
-                for &node in &order {
-                    composer.accept(node, partials[node].clone()).unwrap();
-                }
-                let shuffled = composer.finish().unwrap();
-                assert_eq!(
-                    shuffled.output.rows, baseline.output.rows,
-                    "{sql} {order:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn both_strategies_match_the_one_shot_composer() {
-        for sql in QUERIES {
-            let (plan, partials) = plan_and_partials(sql, 3);
-            let reference = compose(&plan, &partials).unwrap();
-            for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-                let got = compose_with(strategy, &plan, &partials).unwrap();
-                assert_eq!(got.output.rows, reference.output.rows, "{sql} {strategy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn composer_instances_are_reusable_across_plans() {
-        let mut composer = StreamingComposer::new();
-        for round in 0..2 {
-            for sql in [
-                "select count(*) as n from orders",
-                "select o_orderpriority, sum(o_totalprice) as t from orders \
-                 group by o_orderpriority order by o_orderpriority",
-            ] {
-                let (plan, partials) = plan_and_partials(sql, 3);
-                composer.begin(&plan).unwrap();
-                for (i, p) in partials.iter().enumerate() {
-                    composer.accept(i, p.clone()).unwrap();
-                }
-                let got = composer.finish().unwrap();
-                let want = compose(&plan, &partials).unwrap();
-                assert_eq!(got.output.rows, want.output.rows, "round {round}: {sql}");
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_cutoff_bounds_the_union_buffer() {
-        let sql = "select o_orderkey, o_totalprice from orders \
-                   order by o_totalprice desc limit 5";
-        let (plan, partials) = plan_and_partials(sql, 4);
-        let mut composer = StreamingComposer::new();
-        composer.begin(&plan).unwrap();
-        for (i, p) in partials.iter().enumerate() {
-            composer.accept(i, p.clone()).unwrap();
-        }
-        if let StreamState::Union { rows, .. } = &composer.state {
-            assert_eq!(rows.len(), 5, "buffer should hold only the top LIMIT rows");
-        } else {
-            panic!("plain ORDER BY/LIMIT query should stream as a union");
-        }
-        let got = composer.finish().unwrap();
-        let want = compose(&plan, &partials).unwrap();
-        assert_eq!(got.output.rows, want.output.rows);
-        assert_eq!(got.partial_rows, want.partial_rows);
-    }
-
-    #[test]
-    fn streaming_reports_accepted_rows_not_folded_rows() {
-        // 3 nodes × 1 partial row each fold to a single global-aggregate
-        // row; partial_rows must still say 3.
-        let (plan, partials) = plan_and_partials("select sum(o_totalprice) as s from orders", 3);
-        let got = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
-        assert_eq!(got.partial_rows, 3);
-    }
-
-    /// `accept_batched` re-chunks oversized partials to the engine's
-    /// scan-batch grain; the composed result must not change for either
-    /// strategy, aggregated or union-shaped.
-    #[test]
-    fn accept_batched_rechunks_oversized_partials_identically() {
-        const BATCH: usize = apuama_engine::SCAN_BATCH_ROWS as usize;
-        for sql in [
-            "select o_orderpriority, count(*) as n, sum(o_totalprice) as t from orders \
-             group by o_orderpriority order by o_orderpriority",
-            "select o_orderkey, o_totalprice from orders where o_totalprice > 100.0 \
-             order by o_totalprice desc, o_orderkey limit 7",
-        ] {
-            let (plan, partials) = plan_and_partials(sql, 2);
-            // Inflate each partial well past one batch, to a size that is
-            // not a multiple of it, so re-chunking actually splits.
-            let inflated: Vec<QueryOutput> = partials
-                .iter()
-                .map(|p| {
-                    assert!(!p.rows.is_empty(), "{sql}");
-                    let mut rows = Vec::new();
-                    while rows.len() <= 2 * BATCH {
-                        rows.extend(p.rows.iter().cloned());
-                    }
-                    QueryOutput {
-                        columns: p.columns.clone(),
-                        rows,
-                        ..QueryOutput::default()
-                    }
-                })
-                .collect();
-            for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-                let run = |batched: bool| {
-                    let mut c = strategy.new_composer();
-                    c.begin(&plan).unwrap();
-                    for (i, p) in inflated.iter().enumerate() {
-                        if batched {
-                            c.accept_batched(i, p.clone()).unwrap();
-                        } else {
-                            c.accept(i, p.clone()).unwrap();
-                        }
-                    }
-                    c.finish().unwrap()
-                };
-                let whole = run(false);
-                let chunked = run(true);
-                assert_eq!(chunked.output.rows, whole.output.rows, "{sql} {strategy:?}");
-                assert_eq!(
-                    chunked.partial_rows, whole.partial_rows,
-                    "{sql} {strategy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn accept_rejects_arity_mismatch() {
-        let (plan, _) = plan_and_partials("select sum(o_totalprice) as s from orders", 2);
-        for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-            let mut composer = strategy.new_composer();
-            composer.begin(&plan).unwrap();
-            let bad = QueryOutput {
-                columns: vec!["a".into(), "b".into()],
-                rows: vec![vec![Value::Int(1), Value::Int(2)]],
-                ..QueryOutput::default()
-            };
-            assert!(composer.accept(0, bad).is_err(), "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn empty_stream_composes_like_empty_staging() {
-        let (plan, _) = plan_and_partials("select sum(o_totalprice) as s from orders", 2);
-        let empty = QueryOutput {
-            columns: plan.partial_columns.clone(),
-            rows: vec![],
-            ..QueryOutput::default()
-        };
-        let staged = compose_with(
-            ComposerStrategy::Staged,
-            &plan,
-            &[empty.clone(), empty.clone()],
-        )
-        .unwrap();
-        let streaming =
-            compose_with(ComposerStrategy::Streaming, &plan, &[empty.clone(), empty]).unwrap();
-        assert_eq!(staged.output.rows, vec![vec![Value::Null]]);
-        assert_eq!(streaming.output.rows, staged.output.rows);
+        let got = pooled.compose(&plan, std::slice::from_ref(&good)).unwrap();
+        assert_eq!(
+            got.output.rows,
+            compose(&plan, &[good]).unwrap().output.rows
+        );
     }
 }
 
@@ -1181,44 +343,6 @@ mod reusable_tests {
     }
 
     #[test]
-    fn abort_discards_staged_partials_for_both_strategies() {
-        let plan = plan_for(
-            "select count(*) as n, sum(o_totalprice) as s from orders",
-            2,
-        );
-        for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-            let mut composer = strategy.new_composer();
-            // Abort before begin is a no-op.
-            composer.abort();
-            // Stage poison partials, then abort mid-composition.
-            composer.begin(&plan).unwrap();
-            composer
-                .accept(
-                    0,
-                    partial(&plan, vec![vec![Value::Int(999), Value::Float(999.0)]]),
-                )
-                .unwrap();
-            composer.abort();
-            // A fresh composition after the abort sees none of it.
-            let good = [
-                partial(&plan, vec![vec![Value::Int(2), Value::Float(5.0)]]),
-                partial(&plan, vec![vec![Value::Int(3), Value::Float(7.0)]]),
-            ];
-            let mut fresh = strategy.new_composer();
-            fresh.begin(&plan).unwrap();
-            composer.begin(&plan).unwrap();
-            for (node, p) in good.iter().enumerate() {
-                fresh.accept(node, p.clone()).unwrap();
-                composer.accept(node, p.clone()).unwrap();
-            }
-            let want = fresh.finish().unwrap();
-            let got = composer.finish().unwrap();
-            assert_eq!(got.output.rows, want.output.rows, "{strategy:?}");
-            assert_eq!(got.partial_rows, want.partial_rows, "{strategy:?}");
-        }
-    }
-
-    #[test]
     fn reusable_matches_one_shot_composer_across_repeats() {
         let plan = plan_for(
             "select o_orderpriority, count(*) as n from orders group by o_orderpriority \
@@ -1242,6 +366,7 @@ mod reusable_tests {
             let reused = reusable.compose(&plan, &partials).unwrap();
             assert_eq!(reused.output.rows, fresh.output.rows, "round {round}");
             assert_eq!(reused.partial_rows, fresh.partial_rows);
+            assert_eq!(reused.composition_stats, fresh.composition_stats);
         }
     }
 

@@ -19,7 +19,7 @@ use apuama_engine::{
 use apuama_sql::Value;
 
 use crate::catalog::DataCatalog;
-use crate::composer::{Composer, ComposerStrategy};
+use crate::composer::ReusableComposer;
 use crate::consistency::{ConsistencyMode, UpdateGate};
 use crate::fault::{FaultPolicy, RecoveryReport};
 use crate::node::NodeProcessor;
@@ -38,9 +38,6 @@ pub struct ApuamaConfig {
     pub consistency: ConsistencyMode,
     /// Per-node connection-pool size.
     pub pool_size: usize,
-    /// Result-composition strategy (staged staging table vs streaming
-    /// fold).
-    pub composer: ComposerStrategy,
     /// What to do when a sub-query fails: timeout, retries, reassignment,
     /// circuit breaker (see [`FaultPolicy`]).
     pub fault: FaultPolicy,
@@ -65,7 +62,6 @@ impl Default for ApuamaConfig {
             force_index: true,
             consistency: ConsistencyMode::Blocking,
             pool_size: 8,
-            composer: ComposerStrategy::default(),
             fault: FaultPolicy::default(),
             query_deadline_ms: None,
             parallel_workers: None,
@@ -86,7 +82,7 @@ pub struct SvpExecution {
     pub composition_stats: ExecStats,
     /// Total partial rows shipped to the composer.
     pub partial_rows: u64,
-    /// Wall-clock phase breakdown of the pipelined execution.
+    /// Wall-clock phase breakdown of the execution.
     pub timing: PhaseTiming,
     /// What fault handling had to do (empty/zero on a healthy run).
     pub recovery: RecoveryReport,
@@ -98,10 +94,10 @@ pub struct ApuamaEngine {
     rewriter: SvpRewriter,
     gate: UpdateGate,
     config: ApuamaConfig,
-    /// Pooled incremental composer (strategy fixed at construction). Kept
-    /// across queries so the staging engine survives between same-template
-    /// compositions.
-    composer: Mutex<Box<dyn Composer + Send>>,
+    /// Pooled result composer, kept across queries so the staging engine
+    /// survives between compositions with the same staging schema. Locked
+    /// only for the one compose call of each SVP query.
+    composer: Mutex<ReusableComposer>,
     /// Cluster-wide circuit breaker: fed by every node processor, consulted
     /// by the SVP dispatcher (and shareable with the C-JDBC read balancer
     /// via [`apuama_cjdbc::Controller::with_health`]).
@@ -144,7 +140,7 @@ impl ApuamaEngine {
             rewriter: SvpRewriter::new(catalog),
             gate: UpdateGate::new(n, config.consistency),
             config,
-            composer: Mutex::new(config.composer.new_composer()),
+            composer: Mutex::new(ReusableComposer::new()),
             health,
         })
     }
@@ -255,13 +251,14 @@ impl ApuamaEngine {
     }
 
     /// The Intra-Query Executor: consistency wait → parallel dispatch →
-    /// early update release → pipelined composition, with fault recovery.
+    /// early update release → result composition, with fault recovery.
     ///
-    /// Sub-query results are not join-all'ed: each node thread sends its
-    /// partial through a channel the moment it completes, and the composer
-    /// folds it in while the remaining sub-queries are still running. The
-    /// update gate still releases at "dispatched and started" — composition
-    /// happens strictly after the release point.
+    /// Each node thread sends its partial through a channel the moment it
+    /// completes; the executor buffers it by range index. Once every range
+    /// has landed, the pooled composer stages the partials in range order
+    /// and runs the composition query once (paper §3). The update gate
+    /// releases at "dispatched and started" — composition happens strictly
+    /// after the release point.
     ///
     /// Sub-queries are dispatched as *prepared statements*
     /// ([`SvpPlan::prepared`]): the first execution of a statement text on
@@ -303,11 +300,15 @@ impl ApuamaEngine {
         plan: &SvpPlan,
         caller: Option<&QueryGovernor>,
     ) -> EngineResult<SvpExecution> {
-        assert_eq!(
-            plan.subqueries.len(),
-            self.nodes.len(),
-            "plan was rewritten for a different cluster size"
-        );
+        let n = self.nodes.len();
+        // Checked before the gate is touched: a plan for another cluster
+        // size must not leave updates blocked.
+        if plan.subqueries.len() != n {
+            return Err(EngineError::Unsupported(format!(
+                "plan was rewritten for {} nodes but the cluster has {n}",
+                plan.subqueries.len()
+            )));
+        }
         // Per-query governor: a child of the caller's (so our internal
         // doom-cancel never fires the caller's token) with the configured
         // whole-query deadline. The clock starts *before* the consistency
@@ -329,9 +330,8 @@ impl ApuamaEngine {
             return Err(e);
         }
 
-        let n = self.nodes.len();
         let policy = self.config.fault;
-        let mut recovery = RecoveryReport::default();
+        let mut landed = Landed::new(n);
 
         // 2. Assign ranges: node i owns range i unless its circuit is open
         //    or it is quarantined (disabled / catching up after a failure),
@@ -370,7 +370,7 @@ impl ApuamaEngine {
         };
         for (range, &node) in assignment.iter().enumerate() {
             if node != range {
-                recovery.reassigned.push((range, node));
+                landed.recovery.reassigned.push((range, node));
             }
         }
         let mut units: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -383,7 +383,7 @@ impl ApuamaEngine {
         //    ticket ("sent and started").
         let barrier = std::sync::Barrier::new(workers.len() + 1);
         let (tx, rx) = crossbeam::channel::unbounded();
-        std::thread::scope(|s| {
+        let dispatched = std::thread::scope(|s| {
             for &i in &workers {
                 let node = &self.nodes[i];
                 let my_ranges = units[i].clone();
@@ -412,94 +412,17 @@ impl ApuamaEngine {
             self.gate.release_updates();
             let dispatched = Instant::now();
 
-            // 4. Pipelined composition: consume partials as they complete.
-            let mut composer = self.composer.lock();
-            if let Err(e) = composer.begin(plan) {
-                composer.abort();
-                return Err(e);
-            }
-            let mut per_node: Vec<Option<ExecStats>> = vec![None; n];
-            let mut failed: Vec<(usize, EngineError)> = Vec::new();
-            let mut tried: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut accept_error: Option<EngineError> = None;
-            let mut timing = PhaseTiming::default();
-            let mut first_composed = false;
-            let mut outstanding = n;
-            for (range, node_idx, attempts, result) in rx.iter() {
-                outstanding -= 1;
-                recovery.retries += attempts.saturating_sub(1);
-                match result {
-                    Ok(out) => {
-                        recovery.failed_attempts += attempts - 1;
-                        per_node[range] = Some(out.stats);
-                        if accept_error.is_none() {
-                            let t = Instant::now();
-                            let ok = match composer.accept_batched(range, out) {
-                                Ok(()) => true,
-                                Err(e) => {
-                                    accept_error = Some(e);
-                                    false
-                                }
-                            };
-                            let spent = t.elapsed().as_secs_f64() * 1e3;
-                            if outstanding == 0 {
-                                timing.compose_tail_ms += spent;
-                            } else {
-                                timing.compose_overlap_ms += spent;
-                            }
-                            if ok && !first_composed {
-                                // Stamped only by a successfully composed
-                                // partial — errored partials used to skew
-                                // this under fault injection.
-                                first_composed = true;
-                                timing.first_partial_ms = dispatched.elapsed().as_secs_f64() * 1e3;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        recovery.failed_attempts += attempts;
-                        tried[range].push(node_idx);
-                        failed.push((range, e));
-                        // With reassignment off a single failure dooms the
-                        // query — cancel the siblings so they stop at their
-                        // next batch boundary instead of finishing work
-                        // nobody will compose.
-                        if !policy.reassign {
-                            gov.cancel();
-                        }
-                    }
-                }
-                if accept_error.is_some() {
-                    // Composition is broken: nothing else can be accepted,
-                    // so the query is doomed regardless of reassignment.
-                    gov.cancel();
-                }
-            }
+            // 4. Receive the first wave.
+            landed.receive(rx, dispatched, false, &policy, &gov);
 
             // 5. Reassignment rounds: every still-missing range goes whole
             //    to a surviving replica it has not been tried on, until all
-            //    ranges composed or some range has nowhere left to go.
-            while policy.reassign
-                && !failed.is_empty()
-                && accept_error.is_none()
-                && !gov.is_cancelled()
-            {
-                let mut batch: Vec<(usize, usize)> = Vec::with_capacity(failed.len());
-                let mut stuck = false;
-                for (rr, (range, _)) in failed.iter().enumerate() {
-                    let candidates: Vec<usize> = (0..n)
-                        .filter(|j| !tried[*range].contains(j))
-                        .filter(|&j| self.health.is_available(j))
-                        .collect();
-                    if candidates.is_empty() {
-                        stuck = true;
-                        break;
-                    }
-                    batch.push((*range, candidates[rr % candidates.len()]));
-                }
-                if stuck {
+            //    ranges landed or some range has nowhere left to go.
+            while policy.reassign && !landed.failed.is_empty() && !gov.is_cancelled() {
+                let Some(batch) = landed.reassignment(|j| self.health.is_available(j)) else {
                     break;
-                }
+                };
+                landed.failed.clear();
                 let (rtx, rrx) = crossbeam::channel::unbounded();
                 for &(range, target) in &batch {
                     let node = &self.nodes[target];
@@ -521,101 +444,152 @@ impl ApuamaEngine {
                     });
                 }
                 drop(rtx);
-                let mut outstanding = batch.len();
-                let mut still_failed: Vec<(usize, EngineError)> = Vec::new();
-                for (range, target, attempts, result) in rrx.iter() {
-                    outstanding -= 1;
-                    recovery.retries += attempts.saturating_sub(1);
-                    match result {
-                        Ok(out) => {
-                            recovery.failed_attempts += attempts - 1;
-                            recovery.reassigned.push((range, target));
-                            per_node[range] = Some(out.stats);
-                            if accept_error.is_none() {
-                                let t = Instant::now();
-                                let ok = match composer.accept_batched(range, out) {
-                                    Ok(()) => true,
-                                    Err(e) => {
-                                        accept_error = Some(e);
-                                        false
-                                    }
-                                };
-                                let spent = t.elapsed().as_secs_f64() * 1e3;
-                                if outstanding == 0 {
-                                    timing.compose_tail_ms += spent;
-                                } else {
-                                    timing.compose_overlap_ms += spent;
-                                }
-                                if ok && !first_composed {
-                                    first_composed = true;
-                                    timing.first_partial_ms =
-                                        dispatched.elapsed().as_secs_f64() * 1e3;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            recovery.failed_attempts += attempts;
-                            tried[range].push(target);
-                            still_failed.push((range, e));
-                        }
+                landed.receive(rrx, dispatched, true, &policy, &gov);
+            }
+            dispatched
+        });
+
+        // 6. Error out cleanly, surfacing the root cause: a sibling's
+        //    `Cancelled` is fallout from the doom-cancel, not the reason the
+        //    query died.
+        let Landed {
+            partials,
+            mut failed,
+            recovery,
+            first_partial_ms,
+            ..
+        } = landed;
+        if !failed.is_empty() {
+            gov.cancel();
+            failed.sort_by_key(|(range, _)| *range);
+            let root = failed
+                .iter()
+                .position(|(_, e)| !matches!(e, EngineError::Cancelled(_)))
+                .unwrap_or(0);
+            return Err(failed.swap_remove(root).1);
+        }
+        let partials = partials
+            .into_iter()
+            .enumerate()
+            .map(|(range, p)| {
+                p.ok_or_else(|| {
+                    EngineError::Unsupported(format!("SVP range {range} produced no partial"))
+                })
+            })
+            .collect::<EngineResult<Vec<QueryOutput>>>()?;
+
+        // 7. Compose once, in range order (the serial tail).
+        let t = Instant::now();
+        let composed = self.composer.lock().compose(plan, &partials)?;
+        let timing = PhaseTiming {
+            first_partial_ms: first_partial_ms.unwrap_or(0.0),
+            compose_overlap_ms: 0.0,
+            compose_tail_ms: t.elapsed().as_secs_f64() * 1e3,
+            total_ms: dispatched.elapsed().as_secs_f64() * 1e3,
+        };
+
+        let per_node: Vec<ExecStats> = partials.iter().map(|p| p.stats).collect();
+        let mut merged = ExecStats::default();
+        for s in &per_node {
+            merged.merge(s);
+        }
+        merged.merge(&composed.composition_stats);
+        let mut output = composed.output;
+        output.stats = merged;
+        Ok(SvpExecution {
+            output,
+            per_node,
+            composition_stats: composed.composition_stats,
+            partial_rows: composed.partial_rows,
+            timing,
+            recovery,
+        })
+    }
+}
+
+/// One sub-query outcome as a node thread reports it:
+/// `(range, node, attempts made, result)`.
+type Arrival = (usize, usize, u32, EngineResult<QueryOutput>);
+
+/// The executor's receive-side bookkeeping for one SVP query: partials
+/// buffered by range index until composition, failures queued for
+/// reassignment.
+struct Landed {
+    partials: Vec<Option<QueryOutput>>,
+    /// Nodes each range has failed on.
+    tried: Vec<Vec<usize>>,
+    /// Ranges whose latest attempt failed, with the error.
+    failed: Vec<(usize, EngineError)>,
+    recovery: RecoveryReport,
+    /// Dispatch → first successful partial, in ms.
+    first_partial_ms: Option<f64>,
+}
+
+impl Landed {
+    fn new(n: usize) -> Landed {
+        Landed {
+            partials: vec![None; n],
+            tried: vec![Vec::new(); n],
+            failed: Vec::new(),
+            recovery: RecoveryReport::default(),
+            first_partial_ms: None,
+        }
+    }
+
+    /// Drains one dispatch wave. `reassigned` marks a reassignment round,
+    /// whose successes are recorded in the recovery report (the first
+    /// wave's re-routing was recorded at dispatch). With reassignment off
+    /// a single failure dooms the query, so the siblings are cancelled at
+    /// their next batch boundary instead of finishing work nobody will
+    /// compose.
+    fn receive(
+        &mut self,
+        rx: crossbeam::channel::Receiver<Arrival>,
+        dispatched: Instant,
+        reassigned: bool,
+        policy: &FaultPolicy,
+        gov: &QueryGovernor,
+    ) {
+        for (range, node, attempts, result) in rx.iter() {
+            self.recovery.retries += attempts.saturating_sub(1);
+            match result {
+                Ok(out) => {
+                    self.recovery.failed_attempts += attempts - 1;
+                    if reassigned {
+                        self.recovery.reassigned.push((range, node));
+                    }
+                    self.first_partial_ms
+                        .get_or_insert_with(|| dispatched.elapsed().as_secs_f64() * 1e3);
+                    self.partials[range] = Some(out);
+                }
+                Err(e) => {
+                    self.recovery.failed_attempts += attempts;
+                    self.tried[range].push(node);
+                    self.failed.push((range, e));
+                    if !policy.reassign {
+                        gov.cancel();
                     }
                 }
-                failed = still_failed;
             }
+        }
+    }
 
-            // 6. Error out cleanly — the pooled composer must never be left
-            //    mid-composition (the seed corrupted the next same-template
-            //    query here).
-            if let Some(e) = accept_error {
-                gov.cancel();
-                composer.abort();
-                return Err(e);
-            }
-            if !failed.is_empty() {
-                gov.cancel();
-                composer.abort();
-                // Surface the root cause: a sibling's `Cancelled` is fallout
-                // from the doom-cancel above, not the reason the query died.
-                failed.sort_by_key(|(range, _)| *range);
-                let root = failed
-                    .iter()
-                    .position(|(_, e)| !matches!(e, EngineError::Cancelled(_)))
-                    .unwrap_or(0);
-                return Err(failed.swap_remove(root).1);
-            }
-
-            // 7. Finish the composition (serial tail).
-            let t = Instant::now();
-            let composed = match composer.finish() {
-                Ok(c) => c,
-                Err(e) => {
-                    composer.abort();
-                    return Err(e);
-                }
-            };
-            timing.compose_tail_ms += t.elapsed().as_secs_f64() * 1e3;
-            timing.total_ms = dispatched.elapsed().as_secs_f64() * 1e3;
-
-            let per_node: Vec<ExecStats> = per_node
-                .into_iter()
-                .map(|s| s.expect("every range composed"))
-                .collect();
-            let mut merged = ExecStats::default();
-            for s in &per_node {
-                merged.merge(s);
-            }
-            merged.merge(&composed.composition_stats);
-            let mut output = composed.output;
-            output.stats = merged;
-            Ok(SvpExecution {
-                output,
-                per_node,
-                composition_stats: composed.composition_stats,
-                partial_rows: composed.partial_rows,
-                timing,
-                recovery,
+    /// One reassignment round: each failed range goes to an available node
+    /// it has not been tried on (round-robin over the candidates). `None`
+    /// when some range has nowhere left to go.
+    fn reassignment(&self, available: impl Fn(usize) -> bool) -> Option<Vec<(usize, usize)>> {
+        let n = self.partials.len();
+        self.failed
+            .iter()
+            .enumerate()
+            .map(|(rr, &(range, _))| {
+                let candidates: Vec<usize> = (0..n)
+                    .filter(|j| !self.tried[range].contains(j))
+                    .filter(|&j| available(j))
+                    .collect();
+                (!candidates.is_empty()).then(|| (range, candidates[rr % candidates.len()]))
             })
-        })
+            .collect()
     }
 }
 
@@ -847,6 +821,35 @@ mod tests {
             assert!(s.rows_scanned <= 30, "scanned {}", s.rows_scanned);
         }
         assert_eq!(exec.partial_rows, 3);
+    }
+
+    #[test]
+    fn plan_for_another_cluster_size_is_an_error_and_leaves_the_gate_free() {
+        let (engine, _) = cluster(4, ApuamaConfig::default());
+        let Rewritten::Svp(plan) = engine
+            .rewriter()
+            .rewrite("select sum(o_totalprice) as t from orders", 3)
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert!(engine.execute_svp(&plan).is_err());
+        // Had the gate been left held, both of these would block forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            let read = worker.execute_read(0, "select count(*) as n from orders");
+            let writes: Vec<_> = (0..4)
+                .map(|i| worker.execute_write(i, "insert into orders values (61, 61.0)"))
+                .collect();
+            let _ = tx.send((read, writes));
+        });
+        let (read, writes) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the update gate was left blocked");
+        assert_eq!(read.unwrap().rows, vec![vec![Value::Int(60)]]);
+        assert!(writes.iter().all(Result::is_ok), "{writes:?}");
+        assert_eq!(engine.txn_counters(), vec![1, 1, 1, 1]);
     }
 
     #[test]

@@ -38,14 +38,11 @@ pub mod fault;
 pub mod node;
 pub mod rewrite;
 
-pub use avp::{execute_avp, execute_avp_streaming, AvpConfig, AvpOutcome, AvpRun, NodeTrace};
+pub use avp::{execute_avp, AvpConfig, AvpOutcome, NodeTrace};
 pub use catalog::{DataCatalog, VirtualPartitioning};
-pub use composer::{
-    compose, compose_with, Composed, Composer, ComposerStrategy, ReusableComposer, StagedComposer,
-    StreamingComposer,
-};
+pub use composer::{compose, Composed, ReusableComposer};
 pub use consistency::{ConsistencyMode, UpdateGate};
 pub use engine::{ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
 pub use fault::{FaultPolicy, RecoveryReport};
 pub use node::NodeProcessor;
-pub use rewrite::{ComposeSpec, FoldFn, QueryTemplate, Rewritten, SvpPlan, SvpRewriter};
+pub use rewrite::{QueryTemplate, Rewritten, SvpPlan, SvpRewriter};

@@ -74,47 +74,9 @@ pub struct SvpPlan {
     pub output_columns: Vec<String>,
     /// Which tables were range-restricted (diagnostics).
     pub partitioned_tables: Vec<String>,
-    /// Structured description of the composition step, for composers that
-    /// fold partials incrementally instead of replaying `composition_sql`
-    /// over a full staging table.
-    pub compose: ComposeSpec,
     /// The template this plan was instantiated from, kept so the executor
     /// can re-invoke the rewriter on a residual range during reassignment.
     pub template: QueryTemplate,
-}
-
-/// How partial rows combine into the final result — derived during
-/// decomposition, so an incremental composer never has to re-parse
-/// [`SvpPlan::composition_sql`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ComposeSpec {
-    /// Non-aggregated query: partial rows *are* result rows; composition
-    /// only unions them, then applies the global ORDER BY / LIMIT.
-    Union {
-        /// ORDER BY keys as `(partial column index, descending)` — `Some`
-        /// only when every key is a bare output column, which is what
-        /// enables streaming top-k cutoff.
-        order: Option<Vec<(usize, bool)>>,
-        /// Global LIMIT, if any.
-        limit: Option<u64>,
-    },
-    /// Aggregated query: the first `group_cols` partial columns are the
-    /// grouping keys and column `group_cols + i` re-aggregates with
-    /// `folds[i]`.
-    Reaggregate {
-        group_cols: usize,
-        folds: Vec<FoldFn>,
-    },
-}
-
-/// Re-aggregation function for one partial aggregate column. `count`
-/// re-aggregates as `Sum` of partial counts and `avg` decomposes into two
-/// `Sum` columns, so three folds cover every decomposable aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoldFn {
-    Sum,
-    Min,
-    Max,
 }
 
 /// A reusable virtual-partitioning template: the decomposed sub-query with
@@ -135,8 +97,6 @@ pub struct QueryTemplate {
     pub composition_sql: String,
     /// Output column names of the final result.
     pub output_columns: Vec<String>,
-    /// Structured composition description (see [`ComposeSpec`]).
-    pub compose: ComposeSpec,
 }
 
 impl QueryTemplate {
@@ -264,7 +224,6 @@ impl QueryTemplate {
             composition_sql: self.composition_sql.clone(),
             output_columns: self.output_columns.clone(),
             partitioned_tables: self.partitioned_tables(),
-            compose: self.compose.clone(),
             template: self.clone(),
         }
     }
@@ -412,7 +371,6 @@ impl SvpRewriter {
                 .collect(),
             composition_sql: decomposition.composition.to_string(),
             output_columns: decomposition.output_columns,
-            compose: decomposition.compose,
         })
     }
 }
@@ -428,7 +386,6 @@ struct Decomposition {
     partial_items: Vec<(String, Expr)>,
     composition: Select,
     output_columns: Vec<String>,
-    compose: ComposeSpec,
 }
 
 /// Splits a predicate into top-level conjuncts (local copy to avoid a
@@ -544,31 +501,10 @@ fn decompose_plain(q: &Select) -> Decomposition {
         limit: q.limit,
         ..Select::default()
     };
-    // Streaming cutoff needs every ORDER BY key to be a bare output column
-    // (anything else cannot be evaluated against a partial row alone).
-    let order = if q.order_by.is_empty() {
-        Some(vec![])
-    } else {
-        q.order_by
-            .iter()
-            .map(|o| match &o.expr {
-                Expr::Column(c) => output_columns
-                    .iter()
-                    .position(|n| *n == c.column)
-                    .map(|i| (i, o.desc)),
-                _ => None,
-            })
-            .collect()
-    };
-    let compose = ComposeSpec::Union {
-        order,
-        limit: q.limit,
-    };
     Decomposition {
         partial_items,
         composition,
         output_columns,
-        compose,
     }
 }
 
@@ -596,9 +532,6 @@ fn rewrite_order_by_plain(q: &Select, output_columns: &[String]) -> Vec<apuama_s
 fn decompose_aggregated(q: &Select) -> Result<Decomposition, String> {
     let mut slots: Vec<AggSlot> = Vec::new();
     let mut partial_items: Vec<(String, Expr)> = Vec::new();
-    // Fold function per aggregate partial column, appended in lockstep with
-    // `partial_items` pushes inside `transform_expr`.
-    let mut folds: Vec<FoldFn> = Vec::new();
 
     // 1. Group-by expressions become partial columns (named after the
     //    select item that exposes them, or a synthetic name).
@@ -625,13 +558,7 @@ fn decompose_aggregated(q: &Select) -> Result<Decomposition, String> {
             unreachable!("wildcards rejected in eligibility");
         };
         let name = item.output_name(i);
-        let comp_expr = transform_expr(
-            expr,
-            &group_aliases,
-            &mut slots,
-            &mut partial_items,
-            &mut folds,
-        )?;
+        let comp_expr = transform_expr(expr, &group_aliases, &mut slots, &mut partial_items)?;
         comp_items.push(SelectItem::Expr {
             expr: comp_expr,
             alias: Some(name.clone()),
@@ -645,7 +572,6 @@ fn decompose_aggregated(q: &Select) -> Result<Decomposition, String> {
             &group_aliases,
             &mut slots,
             &mut partial_items,
-            &mut folds,
         )?),
     };
     let comp_order: Vec<apuama_sql::OrderByItem> = q
@@ -657,13 +583,7 @@ fn decompose_aggregated(q: &Select) -> Result<Decomposition, String> {
                 Expr::Column(c) if c.table.is_none() && output_columns.contains(&c.column) => {
                     Ok(Expr::col(c.column.clone()))
                 }
-                other => transform_expr(
-                    other,
-                    &group_aliases,
-                    &mut slots,
-                    &mut partial_items,
-                    &mut folds,
-                ),
+                other => transform_expr(other, &group_aliases, &mut slots, &mut partial_items),
             }?;
             Ok(apuama_sql::OrderByItem { expr, desc: o.desc })
         })
@@ -684,15 +604,10 @@ fn decompose_aggregated(q: &Select) -> Result<Decomposition, String> {
         limit: q.limit,
         ..Select::default()
     };
-    let compose = ComposeSpec::Reaggregate {
-        group_cols: group_aliases.len(),
-        folds,
-    };
     Ok(Decomposition {
         partial_items,
         composition,
         output_columns,
-        compose,
     })
 }
 
@@ -705,7 +620,6 @@ fn transform_expr(
     group_aliases: &[(Expr, String)],
     slots: &mut Vec<AggSlot>,
     partial_items: &mut Vec<(String, Expr)>,
-    folds: &mut Vec<FoldFn>,
 ) -> Result<Expr, String> {
     // Grouped expression? Any shape is fine if it structurally matches.
     if let Some((_, alias)) = group_aliases.iter().find(|(g, _)| g == e) {
@@ -728,7 +642,7 @@ fn transform_expr(
                 "sum" => {
                     let alias = format!("svp_agg{k}");
                     (
-                        vec![(alias.clone(), e.clone(), FoldFn::Sum)],
+                        vec![(alias.clone(), e.clone())],
                         agg_over_column("sum", &alias),
                     )
                 }
@@ -737,19 +651,14 @@ fn transform_expr(
                 "count" => {
                     let alias = format!("svp_agg{k}");
                     (
-                        vec![(alias.clone(), e.clone(), FoldFn::Sum)],
+                        vec![(alias.clone(), e.clone())],
                         agg_over_column("sum", &alias),
                     )
                 }
                 "min" | "max" => {
                     let alias = format!("svp_agg{k}");
-                    let fold = if name == "min" {
-                        FoldFn::Min
-                    } else {
-                        FoldFn::Max
-                    };
                     (
-                        vec![(alias.clone(), e.clone(), fold)],
+                        vec![(alias.clone(), e.clone())],
                         agg_over_column(name, &alias),
                     )
                 }
@@ -786,20 +695,14 @@ fn transform_expr(
                         agg_over_column("sum", &cnt_alias),
                     );
                     (
-                        vec![
-                            (sum_alias, sum_part, FoldFn::Sum),
-                            (cnt_alias, cnt_part, FoldFn::Sum),
-                        ],
+                        vec![(sum_alias, sum_part), (cnt_alias, cnt_part)],
                         replacement,
                     )
                 }
                 other => return Err(format!("aggregate {other}() is not decomposable")),
             };
             let _ = star;
-            for (alias, expr, fold) in partials {
-                partial_items.push((alias, expr));
-                folds.push(fold);
-            }
+            partial_items.extend(partials);
             slots.push(AggSlot {
                 key,
                 replacement: replacement.clone(),
@@ -811,31 +714,13 @@ fn transform_expr(
             "non-grouped column '{e}' in an aggregated clause cannot be recomposed"
         )),
         Expr::Binary { left, op, right } => Ok(Expr::Binary {
-            left: Box::new(transform_expr(
-                left,
-                group_aliases,
-                slots,
-                partial_items,
-                folds,
-            )?),
+            left: Box::new(transform_expr(left, group_aliases, slots, partial_items)?),
             op: *op,
-            right: Box::new(transform_expr(
-                right,
-                group_aliases,
-                slots,
-                partial_items,
-                folds,
-            )?),
+            right: Box::new(transform_expr(right, group_aliases, slots, partial_items)?),
         }),
         Expr::Unary { op, expr } => Ok(Expr::Unary {
             op: *op,
-            expr: Box::new(transform_expr(
-                expr,
-                group_aliases,
-                slots,
-                partial_items,
-                folds,
-            )?),
+            expr: Box::new(transform_expr(expr, group_aliases, slots, partial_items)?),
         }),
         Expr::Case {
             branches,
@@ -844,8 +729,8 @@ fn transform_expr(
             let mut new_branches = Vec::with_capacity(branches.len());
             for (c, r) in branches {
                 new_branches.push((
-                    transform_expr(c, group_aliases, slots, partial_items, folds)?,
-                    transform_expr(r, group_aliases, slots, partial_items, folds)?,
+                    transform_expr(c, group_aliases, slots, partial_items)?,
+                    transform_expr(r, group_aliases, slots, partial_items)?,
                 ));
             }
             let new_else = match else_expr {
@@ -854,7 +739,6 @@ fn transform_expr(
                     group_aliases,
                     slots,
                     partial_items,
-                    folds,
                 )?)),
                 None => None,
             };

@@ -874,18 +874,24 @@ impl Database {
         self.table_mut(id).bulk_load(rows)
     }
 
-    /// Appends rows through the normal insert path (indexes maintained,
-    /// works on non-empty tables) — the staging-table reload used by
-    /// pooled composers.
-    pub fn append_rows(&mut self, name: &str, rows: Vec<Row>) -> EngineResult<()> {
+    /// Empties a table and drops its pages from the buffer pool, so a
+    /// following [`Database::load_table`] scans and charges exactly like a
+    /// load into a freshly created table — the staging-table reset of the
+    /// pooled result composer. Refused inside a transaction: the undo log
+    /// cannot restore a truncated heap.
+    pub fn truncate_table(&mut self, name: &str) -> EngineResult<()> {
+        if self.in_transaction() {
+            return Err(EngineError::Transaction(
+                "cannot truncate a table while a transaction is open".into(),
+            ));
+        }
         let id = self
             .catalog
             .get(name)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?
             .id;
-        for row in rows {
-            self.table_mut(id).insert(row)?;
-        }
+        self.table_mut(id).truncate();
+        self.pool_invalidate(id);
         Ok(())
     }
 
@@ -949,6 +955,30 @@ mod tests {
         let res = d.query("select k, v from t where k = 2").unwrap();
         assert_eq!(res.columns, vec!["k", "v"]);
         assert_eq!(res.rows, vec![vec![Value::Int(2), Value::Float(2.5)]]);
+    }
+
+    #[test]
+    fn truncate_then_reload_scans_like_a_fresh_table() {
+        let rows = || (1..=300i64).map(|k| vec![Value::Int(k), Value::Float(0.5), Value::Null]);
+        let sql = "select count(*) as n, sum(v) as s from t";
+        let mut fresh = db();
+        fresh.load_table("t", rows().collect()).unwrap();
+        let want = fresh.query(sql).unwrap();
+
+        let mut reused = db();
+        reused.load_table("t", rows().take(7).collect()).unwrap();
+        reused.query(sql).unwrap();
+        reused.execute("begin").unwrap();
+        assert!(
+            reused.truncate_table("t").is_err(),
+            "refused in a transaction"
+        );
+        reused.execute("commit").unwrap();
+        reused.truncate_table("t").unwrap();
+        reused.load_table("t", rows().collect()).unwrap();
+        let got = reused.query(sql).unwrap();
+        assert_eq!(got.rows, want.rows);
+        assert_eq!(got.stats, want.stats);
     }
 
     #[test]

@@ -321,8 +321,7 @@ pub(crate) fn select_has_aggregates(q: &Select) -> bool {
 /// Rows per batch everywhere in the physical pipeline: operators exchange
 /// [`crate::physical`] batches of this many rows, and stats counters are
 /// charged once per batch (identical totals to per-row charging, a
-/// fraction of the borrow traffic). Public so the cluster layer's
-/// streaming sinks can chunk at the same grain.
+/// fraction of the borrow traffic).
 pub const SCAN_BATCH_ROWS: u64 = 1024;
 
 /// Accumulates per-row counter increments and flushes them to the context

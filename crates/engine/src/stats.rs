@@ -57,53 +57,28 @@ impl ExecStats {
     }
 }
 
-/// Wall-clock phase breakdown of a pipelined parallel execution: how long
-/// until the composer received its first partial, how much composition work
-/// overlapped still-running sub-queries, and how much ran serially after
-/// the last partial. All durations are measured by the orchestrator (the
-/// engine counts *work* in [`ExecStats`]; phases are *time*).
+/// Wall-clock phase breakdown of a parallel execution: how long until the
+/// first partial landed, and how long composition took after the last one.
+/// All durations are measured by the orchestrator (the engine counts *work*
+/// in [`ExecStats`]; phases are *time*).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTiming {
-    /// Dispatch (all sub-queries released) → first partial consumed.
+    /// Dispatch (all sub-queries released) → first successful partial.
     pub first_partial_ms: f64,
-    /// Composition time spent while at least one sub-query was still
-    /// outstanding (work the pipeline hides).
+    /// Always 0: composition runs once, after every partial has landed, so
+    /// no composition work overlaps the sub-queries. Kept because
+    /// clusterbench reads the field.
     pub compose_overlap_ms: f64,
-    /// Composition time after the last partial arrived (the serial tail —
-    /// what a non-pipelined executor pays in full).
+    /// The composition call after the last partial arrived (the serial
+    /// tail).
     pub compose_tail_ms: f64,
     /// Dispatch → final result, total.
     pub total_ms: f64,
 }
 
-impl PhaseTiming {
-    /// Fraction of total composition time hidden behind sub-query
-    /// execution (0 when no composition work happened).
-    pub fn overlap_fraction(&self) -> f64 {
-        let compose = self.compose_overlap_ms + self.compose_tail_ms;
-        if compose <= 0.0 {
-            0.0
-        } else {
-            self.compose_overlap_ms / compose
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_overlap_fraction_is_bounded() {
-        let t = PhaseTiming {
-            first_partial_ms: 1.0,
-            compose_overlap_ms: 3.0,
-            compose_tail_ms: 1.0,
-            total_ms: 10.0,
-        };
-        assert!((t.overlap_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(PhaseTiming::default().overlap_fraction(), 0.0);
-    }
 
     #[test]
     fn merge_adds_componentwise() {

@@ -168,6 +168,19 @@ impl Table {
         Ok(())
     }
 
+    /// Empties the table: a fresh heap of the same page geometry and zone
+    /// columns, and every index cleared — the state `Table::new` (plus any
+    /// `create_index`) leaves, so a following [`Table::bulk_load`] lays out
+    /// pages exactly as it would on a newly created table.
+    pub fn truncate(&mut self) {
+        let mut heap = Heap::new(self.heap.geometry());
+        heap.set_zone_columns(&self.heap.zone_columns());
+        self.heap = heap;
+        for idx in self.indexes.values_mut() {
+            idx.clear();
+        }
+    }
+
     /// Rebuilds the heap without tombstones and re-keys every index —
     /// VACUUM FULL in miniature. Clustered order is preserved. Returns the
     /// number of slots reclaimed.

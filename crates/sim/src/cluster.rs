@@ -1,7 +1,7 @@
 //! The simulated cluster: N real replicas plus the Apuama machinery,
 //! driven single-threaded by the event loop.
 
-use apuama::{ComposerStrategy, DataCatalog, Rewritten, SvpPlan, SvpRewriter};
+use apuama::{DataCatalog, Rewritten, SvpPlan, SvpRewriter};
 use apuama_engine::{Database, EngineResult, ExecStats, QueryOutput};
 use apuama_tpch::{load_into, TpchData};
 
@@ -31,11 +31,6 @@ pub struct SimClusterConfig {
     /// Read load-balancing policy for pass-through queries in workload
     /// runs (the paper configures least-pending).
     pub balancer: SimBalancer,
-    /// How partial results are composed: `Staged` re-creates the paper's
-    /// HSQLDB staging table (all partials land, then one composition
-    /// statement); `Streaming` folds each partial as it arrives, so
-    /// composition work overlaps the still-running sub-queries.
-    pub composer: ComposerStrategy,
     /// The pricing model.
     pub cost: CostModel,
     /// Failure arm: when set, isolated SVP queries price the degraded-mode
@@ -80,7 +75,6 @@ impl SimClusterConfig {
             servers_per_node: 2,
             avp: None,
             balancer: SimBalancer::LeastPending,
-            composer: ComposerStrategy::Streaming,
             cost: CostModel::paper_2006(),
             fault: None,
         }
@@ -115,9 +109,6 @@ pub struct SimQueryResult {
     pub composition_ms: f64,
     /// Network time: partials in, final result out.
     pub transfer_ms: f64,
-    /// Composition work that ran while sub-queries were still executing
-    /// (always 0 under the staged strategy and for pass-through queries).
-    pub compose_overlap_ms: f64,
     /// The real query answer.
     pub output: QueryOutput,
 }
@@ -133,9 +124,8 @@ pub struct ComposedTiming {
     /// Work left after the last sub-query finishes — the serialized part
     /// of composition that a DES charges as the job's tail.
     pub tail_ms: f64,
-    /// Composition work absorbed while sub-queries were still running.
-    pub overlap_ms: f64,
-    /// Total composition work (per-partial folds + final statement).
+    /// Composition work: the composition statement over the staged
+    /// partials.
     pub compose_ms: f64,
     /// Total network time: partials in plus final result out.
     pub transfer_ms: f64,
@@ -272,14 +262,9 @@ impl SimCluster {
     /// Composes partial results and prices composition + network against
     /// the arrival schedule: partial `i` leaves its node at `finish_ms[i]`.
     ///
-    /// Under [`ComposerStrategy::Staged`] every partial converges on the
-    /// controller after the last node finishes, then one composition
-    /// statement runs — the paper's HSQLDB staging-table timeline. Under
-    /// [`ComposerStrategy::Streaming`] each partial ships as soon as its
-    /// node finishes (the controller NIC serializes transfers) and the
-    /// composer folds it on arrival, so only the residual statement over
-    /// the folded rows — priced from the streaming composer's real
-    /// execution stats — remains after the last node.
+    /// This is the paper's HSQLDB staging-table timeline: every partial
+    /// converges on the controller after the last node finishes, then one
+    /// composition statement runs and the final result ships to the client.
     pub fn compose_timed(
         &self,
         plan: &SvpPlan,
@@ -287,58 +272,21 @@ impl SimCluster {
         finish_ms: &[f64],
     ) -> EngineResult<ComposedTiming> {
         let cost = &self.config.cost;
-        let composed = apuama::compose_with(self.config.composer, plan, partials)?;
-        let statement_ms = cost.statement_ms(&composed.composition_stats);
-        let final_transfer = cost.transfer_ms(&composed.output.stats);
+        let composed = apuama::compose(plan, partials)?;
+        let compose_ms = cost.statement_ms(&composed.composition_stats);
+        let transfer = partials
+            .iter()
+            .map(|p| cost.transfer_ms(&p.stats))
+            .sum::<f64>()
+            + cost.transfer_ms(&composed.output.stats);
         let last = finish_ms.iter().cloned().fold(0.0, f64::max);
-        let (done, overlap, compose_ms, transfer) = match self.config.composer {
-            ComposerStrategy::Staged => {
-                let mut transfer = 0.0;
-                for p in partials {
-                    transfer += cost.transfer_ms(&p.stats);
-                }
-                let done = last + transfer + statement_ms + final_transfer;
-                (done, 0.0, statement_ms, transfer + final_transfer)
-            }
-            ComposerStrategy::Streaming => {
-                let mut order: Vec<usize> = (0..partials.len()).collect();
-                order.sort_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]).then(a.cmp(&b)));
-                let mut nic_free = 0.0;
-                let mut busy = 0.0;
-                let mut overlap = 0.0;
-                let mut transfer = 0.0;
-                let mut accept_total = 0.0;
-                for &i in &order {
-                    let t = cost.transfer_ms(&partials[i].stats);
-                    transfer += t;
-                    let arrive = finish_ms[i].max(nic_free) + t;
-                    nic_free = arrive;
-                    // Folding a partial costs roughly one tuple op per
-                    // cell: hash-probe the group key, fold each aggregate.
-                    let accept = partials[i].rows.len() as f64
-                        * partials[i].columns.len() as f64
-                        * cost.cpu_tuple_ms;
-                    accept_total += accept;
-                    let start = arrive.max(busy);
-                    busy = start + accept;
-                    overlap += (busy.min(last) - start.min(last)).max(0.0);
-                }
-                let done = busy.max(last) + statement_ms + final_transfer;
-                (
-                    done,
-                    overlap,
-                    accept_total + statement_ms,
-                    transfer + final_transfer,
-                )
-            }
-        };
+        let done = last + transfer + compose_ms;
         let mut output = composed.output;
         output.stats = ExecStats::default();
         Ok(ComposedTiming {
             output,
             done_ms: done,
             tail_ms: done - last,
-            overlap_ms: overlap,
             compose_ms,
             transfer_ms: transfer,
         })
@@ -375,7 +323,6 @@ impl SimCluster {
                     node_task_ms,
                     composition_ms: timed.compose_ms,
                     transfer_ms: timed.transfer_ms,
-                    compose_overlap_ms: timed.overlap_ms,
                     output: timed.output,
                 })
             }
@@ -386,7 +333,6 @@ impl SimCluster {
                     node_task_ms: vec![ms],
                     composition_ms: 0.0,
                     transfer_ms: 0.0,
-                    compose_overlap_ms: 0.0,
                     output,
                 })
             }
@@ -440,50 +386,36 @@ impl SimCluster {
             node_task_ms: finish_ms,
             composition_ms: timed.compose_ms,
             transfer_ms: timed.transfer_ms,
-            compose_overlap_ms: timed.overlap_ms,
             output: timed.output,
         })
     }
 
     /// AVP execution of an eligible query: chunked sub-queries with work
     /// stealing, priced per chunk. Each chunk's partial is timestamped
-    /// with its node's virtual clock at completion, so the streaming
-    /// composer's overlap is priced against the real chunk schedule.
+    /// with its node's virtual clock at completion; the last one to land
+    /// starts the composition.
     fn run_query_avp(
         &self,
         template: &apuama::QueryTemplate,
         avp_cfg: apuama::AvpConfig,
     ) -> EngineResult<SimQueryResult> {
         let n = self.nodes.len();
-        let clocks = std::cell::RefCell::new(vec![0.0f64; n]);
-        let mut partials = Vec::new();
+        let mut clocks = vec![0.0f64; n];
         let mut finish_ms = Vec::new();
-        let run = apuama::execute_avp_streaming(
-            template,
-            n,
-            avp_cfg,
-            |node, sub| {
-                let (out, ms) = self.exec_subquery(node, sub)?;
-                clocks.borrow_mut()[node] += ms;
-                Ok((out, ms))
-            },
-            |node, out| {
-                finish_ms.push(clocks.borrow()[node]);
-                partials.push(out);
-                Ok(())
-            },
-        )?;
+        let outcome = apuama::execute_avp(template, n, avp_cfg, |node, sub| {
+            let (out, ms) = self.exec_subquery(node, sub)?;
+            clocks[node] += ms;
+            finish_ms.push(clocks[node]);
+            Ok((out, ms))
+        })?;
         let plan = template.svp_plan(n);
-        // The last chunk of the slowest node lands at `makespan_cost`, so
-        // `done_ms` is the end-to-end latency.
-        let timed = self.compose_timed(&plan, &partials, &finish_ms)?;
-        let node_task_ms: Vec<f64> = run.per_node.iter().map(|t| t.cost).collect();
+        let timed = self.compose_timed(&plan, &outcome.partials, &finish_ms)?;
+        let node_task_ms: Vec<f64> = outcome.per_node.iter().map(|t| t.cost).collect();
         Ok(SimQueryResult {
             makespan_ms: timed.done_ms,
             node_task_ms,
             composition_ms: timed.compose_ms,
             transfer_ms: timed.transfer_ms,
-            compose_overlap_ms: timed.overlap_ms,
             output: timed.output,
         })
     }
@@ -605,6 +537,23 @@ mod tests {
     }
 
     #[test]
+    fn staged_timing_matches_the_serial_decomposition() {
+        // The timed model reduces to the classic slowest + composition +
+        // transfer formula.
+        let c = tiny_cluster(3);
+        let sql = TpchQuery::Q6.sql(&QueryParams::default());
+        let r = c.run_query_isolated(&sql).unwrap();
+        let slowest = r.node_task_ms.iter().cloned().fold(0.0, f64::max);
+        let expect = slowest + r.composition_ms + r.transfer_ms;
+        assert!(
+            (r.makespan_ms - expect).abs() < 1e-9,
+            "{} vs {}",
+            r.makespan_ms,
+            expect
+        );
+    }
+
+    #[test]
     fn svp_disabled_runs_single_node() {
         let data = generate(TpchConfig {
             scale_factor: 0.002,
@@ -688,122 +637,6 @@ mod fault_arm_tests {
         // No survivor exists; the arm is skipped rather than panicking.
         c.run_query_isolated(&TpchQuery::Q6.sql(&QueryParams::default()))
             .unwrap();
-    }
-}
-
-#[cfg(test)]
-mod composer_strategy_tests {
-    use super::*;
-    use apuama_tpch::{generate, QueryParams, TpchConfig, TpchQuery};
-
-    fn cluster_with(strategy: ComposerStrategy, nodes: usize) -> SimCluster {
-        let data = generate(TpchConfig {
-            scale_factor: 0.002,
-            seed: 11,
-        });
-        let mut cfg = SimClusterConfig::paper(nodes);
-        cfg.composer = strategy;
-        SimCluster::new(&data, cfg).unwrap()
-    }
-
-    #[test]
-    fn strategies_produce_identical_answers() {
-        let staged = cluster_with(ComposerStrategy::Staged, 4);
-        let streaming = cluster_with(ComposerStrategy::Streaming, 4);
-        for q in [TpchQuery::Q1, TpchQuery::Q6, TpchQuery::Q12] {
-            let sql = q.sql(&QueryParams::default());
-            let a = staged.run_query_isolated(&sql).unwrap();
-            let b = streaming.run_query_isolated(&sql).unwrap();
-            assert_eq!(a.output.rows, b.output.rows, "{}", q.label());
-        }
-    }
-
-    #[test]
-    fn streaming_composition_is_never_slower() {
-        let staged = cluster_with(ComposerStrategy::Staged, 4);
-        let streaming = cluster_with(ComposerStrategy::Streaming, 4);
-        let sql = TpchQuery::Q1.sql(&QueryParams::default());
-        let a = staged.run_query_isolated(&sql).unwrap();
-        let b = streaming.run_query_isolated(&sql).unwrap();
-        assert!(
-            b.makespan_ms <= a.makespan_ms,
-            "staged {} ms vs streaming {} ms",
-            a.makespan_ms,
-            b.makespan_ms
-        );
-        assert_eq!(a.compose_overlap_ms, 0.0, "staged never overlaps");
-        assert!(b.compose_overlap_ms >= 0.0);
-    }
-
-    #[test]
-    fn staged_timing_matches_the_serial_decomposition() {
-        // Under Staged the timed model must reduce to the classic
-        // slowest + composition + transfer formula.
-        let c = cluster_with(ComposerStrategy::Staged, 3);
-        let sql = TpchQuery::Q6.sql(&QueryParams::default());
-        let r = c.run_query_isolated(&sql).unwrap();
-        let slowest = r.node_task_ms.iter().cloned().fold(0.0, f64::max);
-        let expect = slowest + r.composition_ms + r.transfer_ms;
-        assert!(
-            (r.makespan_ms - expect).abs() < 1e-9,
-            "{} vs {}",
-            r.makespan_ms,
-            expect
-        );
-    }
-
-    #[test]
-    fn streaming_overlap_appears_under_a_straggler_schedule() {
-        // Feed compose_timed a skewed schedule directly: three partials
-        // land early, the fourth is a straggler — the early folds must be
-        // priced inside the straggler's window.
-        let c = cluster_with(ComposerStrategy::Streaming, 4);
-        let sql = TpchQuery::Q1.sql(&QueryParams::default());
-        let Rewritten::Svp(plan) = c.rewrite(&sql).unwrap() else {
-            panic!("Q1 is SVP-eligible");
-        };
-        let partials: Vec<_> = plan
-            .subqueries
-            .iter()
-            .enumerate()
-            .map(|(i, sub)| c.exec_subquery(i, sub).unwrap().0)
-            .collect();
-        let timed = c
-            .compose_timed(&plan, &partials, &[1.0, 2.0, 3.0, 10_000.0])
-            .unwrap();
-        assert!(
-            timed.overlap_ms > 0.0,
-            "early partials should fold inside the straggler window"
-        );
-        assert!(timed.tail_ms < timed.compose_ms + timed.transfer_ms);
-        assert!((timed.done_ms - (10_000.0 + timed.tail_ms)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn workload_strategies_agree_on_results_and_streaming_is_not_slower() {
-        let data = generate(TpchConfig {
-            scale_factor: 0.002,
-            seed: 21,
-        });
-        let spec = crate::workload::WorkloadSpec {
-            read_streams: 2,
-            rounds: 1,
-            update_txns: 0,
-            seed: 9,
-        };
-        let mut staged_cfg = SimClusterConfig::paper(2);
-        staged_cfg.composer = ComposerStrategy::Staged;
-        let mut staged = SimCluster::new(&data, staged_cfg).unwrap();
-        let r_staged = crate::workload::run_workload(&mut staged, spec).unwrap();
-        let mut streaming = SimCluster::new(&data, SimClusterConfig::paper(2)).unwrap();
-        let r_streaming = crate::workload::run_workload(&mut streaming, spec).unwrap();
-        assert_eq!(r_staged.read_queries_done, r_streaming.read_queries_done);
-        assert!(
-            r_streaming.read_span_ms() <= r_staged.read_span_ms(),
-            "staged {} ms vs streaming {} ms",
-            r_staged.read_span_ms(),
-            r_streaming.read_span_ms()
-        );
     }
 }
 

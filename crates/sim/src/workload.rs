@@ -222,9 +222,9 @@ pub fn run_workload(cluster: &mut SimCluster, spec: WorkloadSpec) -> EngineResul
             durs.push(ms);
         }
         // Price composition against the sub-query durations as relative
-        // finish offsets (the dispatch-time snapshot): under the streaming
-        // composer the folds for fast nodes overlap the stragglers, and
-        // only `tail_ms` is charged after the last task completes.
+        // finish offsets (the dispatch-time snapshot): `tail_ms` — partial
+        // transfer, the composition statement, the final result — is
+        // charged after the last task completes.
         let timed = cluster.compose_timed(plan, &partials, &durs)?;
         let job_id = jobs.len();
         jobs.push(Job {
@@ -381,7 +381,7 @@ pub fn run_workload(cluster: &mut SimCluster, spec: WorkloadSpec) -> EngineResul
     Ok(report)
 }
 
-/// Open-loop overload parameters (Ablation 9). Unlike [`WorkloadSpec`]'s
+/// Open-loop overload parameters (Ablation 8). Unlike [`WorkloadSpec`]'s
 /// closed loop — where a stream submits its next query only after the
 /// previous one completes — arrivals here land on a fixed clock regardless
 /// of completions, so an under-provisioned cluster accumulates backlog.

@@ -7,21 +7,24 @@
 //!    partition of the key space (every key owned exactly once).
 //! 3. **SQL round-trip** — rendering a parsed statement and re-parsing it
 //!    is a fixed point.
-//! 4. **Composer equivalence** — the incremental [`StreamingComposer`]
-//!    produces byte-identical rows to the staging-table path, for every
-//!    query in the family, every node count, and every arrival order.
+//! 4. **Composer equivalence** — the pooled [`ReusableComposer`] the
+//!    engine composes through, reused across every generated case (same
+//!    staging schema: truncate and reload; new schema: rebuild), is
+//!    byte-identical to the one-shot [`compose`]: columns, rows,
+//!    `partial_rows` and `composition_stats`.
 //! 5. **Fault equivalence** — injecting a fault at any stage of the SVP
 //!    pipeline (sub-query execution, the optimizer-interference `SET`,
 //!    pure latency, or a stall caught by the timeout) must not change a
 //!    byte of the answer relative to the same cluster running healthy.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use apuama::{
-    compose, compose_with, ApuamaConfig, ApuamaEngine, Composer, ComposerStrategy, DataCatalog,
-    FaultPolicy, Rewritten, StreamingComposer, SvpRewriter, VirtualPartitioning,
+    compose, ApuamaConfig, ApuamaEngine, DataCatalog, FaultPolicy, ReusableComposer, Rewritten,
+    SvpRewriter, VirtualPartitioning,
 };
 use apuama_cjdbc::{
     Connection, EngineNode, FaultPlan, FaultTarget, FaultyConnection, NodeConnection,
@@ -188,33 +191,22 @@ proptest! {
     }
 }
 
-/// Deterministic Fisher–Yates permutation of `0..n` from a seed (keeps the
-/// arrival-order property reproducible without pulling in an RNG).
-fn permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut v: Vec<usize> = (0..n).collect();
-    let mut s = seed | 1;
-    for i in (1..n).rev() {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (s >> 33) as usize % (i + 1);
-        v.swap(i, j);
-    }
-    v
+thread_local! {
+    /// The one pooled composer property 4 reuses across all of its cases.
+    static POOLED: RefCell<ReusableComposer> = RefCell::new(ReusableComposer::new());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The streaming composer folds partials incrementally yet must agree
-    /// with the staging-table composer byte-for-byte — same rows, same
-    /// ordering — no matter in which order the node partials arrive.
+    /// One pooled composer, reused across every generated case, composes
+    /// byte-identically to a fresh one-shot composition — whether the case
+    /// reuses the previous staging table or changes its schema.
     #[test]
-    fn streaming_composer_equals_staged_composer(
+    fn pooled_composer_equals_one_shot_composer(
         rows in orders_strategy(),
         nodes in 1usize..7,
         query_idx in 0usize..QUERIES.len(),
-        shuffle_seed in any::<u64>(),
     ) {
         let sql = QUERIES[query_idx];
         let rewriter = SvpRewriter::new(DataCatalog::tpch(500));
@@ -231,22 +223,14 @@ proptest! {
             .map(|sub| db_with_orders(&rows).query(sub).unwrap())
             .collect();
 
-        let staged = compose_with(ComposerStrategy::Staged, &plan, &partials).unwrap();
-        let streaming = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
-        prop_assert_eq!(&streaming.output.columns, &staged.output.columns);
-        prop_assert_eq!(&streaming.output.rows, &staged.output.rows,
+        let fresh = compose(&plan, &partials).unwrap();
+        let pooled = POOLED.with(|c| c.borrow_mut().compose(&plan, &partials)).unwrap();
+        prop_assert_eq!(&pooled.output.columns, &fresh.output.columns);
+        prop_assert_eq!(&pooled.output.rows, &fresh.output.rows,
             "{} on {} nodes", sql, nodes);
-        prop_assert_eq!(streaming.partial_rows, staged.partial_rows);
-
-        // A shuffled arrival order must not change a single byte.
-        let mut composer = StreamingComposer::new();
-        composer.begin(&plan).unwrap();
-        for &i in &permutation(nodes, shuffle_seed) {
-            composer.accept(i, partials[i].clone()).unwrap();
-        }
-        let shuffled = composer.finish().unwrap();
-        prop_assert_eq!(&shuffled.output.rows, &staged.output.rows,
-            "{} on {} nodes, seed {}", sql, nodes, shuffle_seed);
+        prop_assert_eq!(pooled.partial_rows, fresh.partial_rows);
+        prop_assert_eq!(pooled.composition_stats, fresh.composition_stats,
+            "{} on {} nodes", sql, nodes);
     }
 }
 
@@ -362,10 +346,6 @@ fn regression_having_below_threshold_single_node() {
         .collect();
     let composed = compose(&plan, &partials).unwrap();
     assert_eq!(composed.output.rows, expected.rows);
-    for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-        let got = compose_with(strategy, &plan, &partials).unwrap();
-        assert_eq!(got.output.rows, expected.rows, "{strategy:?}");
-    }
 }
 
 proptest! {
